@@ -147,10 +147,9 @@ def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> int:
         print(f"unknown vertex label: {args.vertex}", file=sys.stderr)
         return 1
     result = polar_select(net, vertex.id, Polarity(args.prefer))
-    labels = {v.id: v.label for v in net.vertices}
     for rank, item in enumerate(result.ranked, start=1):
         t = item.combined
-        print(f"{rank}. {labels[item.vertex_id]} score={_fmt(item.score)} "
+        print(f"{rank}. {net.vertex(item.vertex_id).label} score={_fmt(item.score)} "
               f"({_fmt(t.p)}, {_fmt(t.u)}, {_fmt(t.n)})")
     return 0
 

@@ -12,6 +12,7 @@ net is treated as immutable and is safe to share across threads for reads.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -31,6 +32,7 @@ __all__ = [
     "SemanticNet",
     "fmt_number",
     "is_valid_label",
+    "scale_error",
 ]
 
 #: Channel maxima implied by "complete" memberships in the example nets:
@@ -67,12 +69,12 @@ class NetMode(Enum):
 
 def fmt_number(x: float) -> str:
     """Format a degree with minimal digits; exact under float round-trip."""
-    if x == int(x) and abs(x) < 1e16:
+    if abs(x) < 1e16 and x == int(x):
         return str(int(x))
     return repr(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeutroValue:
     """One channel entry: a determinate degree, or an indeterminacy n*I."""
 
@@ -86,8 +88,9 @@ class NeutroValue:
             if not 0.0 < m <= 1.0:
                 raise NetError(
                     f"indeterminacy coefficient {m!r} outside (0, 1]")
-        elif not m >= 0.0:  # also rejects NaN
-            raise NetError(f"determinate degree {m!r} is not a nonnegative real")
+        elif not 0.0 <= m < math.inf:  # also rejects NaN
+            raise NetError(
+                f"determinate degree {m!r} is not a finite nonnegative real")
 
     @classmethod
     def determinate(cls, value: float) -> "NeutroValue":
@@ -119,7 +122,7 @@ def _coerce(value: ValueLike) -> NeutroValue:
     return NeutroValue.determinate(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelTriple:
     """Three channel entries, read as (t, i, f) or (p, u, n) by net mode."""
 
@@ -164,7 +167,7 @@ def _coerce_triple(triple: TripleLike) -> ChannelTriple:
     return ChannelTriple.of(*triple)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A labeled node; ``indeterminate`` marks an N_k node."""
 
@@ -174,7 +177,7 @@ class Vertex:
     indeterminate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed relation between two vertices, src -> dst."""
 
@@ -185,7 +188,7 @@ class Edge:
     indeterminate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphClass:
     """Graph-theoretic classification flags of a net."""
 
@@ -201,7 +204,7 @@ class GraphClass:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One well-formedness finding from ``SemanticNet.validate``."""
 
@@ -210,6 +213,14 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.message}"
+
+
+def scale_error(k: int, value: float) -> str | None:
+    """Why ``value`` cannot be the channel ``k`` scale maximum, or None."""
+    if 0.0 < value < math.inf:
+        return None
+    return (f"channel {k} scale must be positive and finite, "
+            f"got {fmt_number(value)}")
 
 
 class Order(NamedTuple):
@@ -225,7 +236,15 @@ class SemanticNet:
     """A mode-tagged directed net of vertices and weighted edges.
 
     ``scale`` holds the per-channel maxima for determinate degrees.  Vertex
-    insertion order is significant: it defines matrix row/column order.
+    insertion order is significant: it defines matrix row/column order, and
+    a vertex's id is its position in ``vertices``.
+
+    Lookups go through private indexes (label -> vertex, src -> {dst: edge})
+    that are kept out of equality and repr.  They index lazily, so vertices
+    and edges appended straight onto ``vertices``/``edges`` are found too;
+    other in-place edits of those lists are not tracked.  Catching up only
+    adds entries and records the indexed count last, so concurrent readers
+    of a finished net stay safe.
     """
 
     mode: NetMode
@@ -240,10 +259,14 @@ class SemanticNet:
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
         for k, s in enumerate(scale, start=1):
-            if not s > 0.0:
-                raise NetError(
-                    f"channel {k} scale must be positive, got {fmt_number(s)}")
+            problem = scale_error(k, s)
+            if problem:
+                raise NetError(problem)
         self.scale = scale
+        self._by_label: dict[str, Vertex] = {}
+        self._out: dict[int, dict[int, Edge]] = {}
+        self._indexed_vertices = 0
+        self._indexed_edges = 0
 
     # -- construction -----------------------------------------------------
 
@@ -266,7 +289,7 @@ class SemanticNet:
         self.vertex(dst)
         if src == dst:
             raise NetError(f"loop on vertex {src} rejected")
-        if any(e.src == src and e.dst == dst for e in self.edges):
+        if self.has_edge(src, dst):
             raise NetError(f"duplicate edge {src} -> {dst}")
         triple = _coerce_triple(weight)
         self._check_range(f"edge {src} -> {dst}", triple)
@@ -277,19 +300,27 @@ class SemanticNet:
     # -- lookup -----------------------------------------------------------
 
     def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
+        """The vertex with id ``vid``, in O(1)."""
+        if isinstance(vid, int) and 0 <= vid < len(self.vertices):
+            return self.vertices[vid]
         raise NetError(f"unknown vertex id {vid}")
 
     def find_vertex(self, label: str) -> Vertex | None:
-        for v in self.vertices:
-            if v.label == label:
-                return v
-        return None
+        """The first vertex labeled ``label``, or None; O(1)."""
+        if self._indexed_vertices != len(self.vertices):
+            for v in self.vertices[self._indexed_vertices:]:
+                self._by_label.setdefault(v.label, v)
+            self._indexed_vertices = len(self.vertices)
+        return self._by_label.get(label)
 
     def out_edges(self, vid: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == vid]
+        """Edges leaving ``vid`` in insertion order; O(out-degree)."""
+        out = self._out_index().get(vid)
+        return list(out.values()) if out else []
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        """True when an edge src -> dst exists; O(1)."""
+        return dst in self._out_index().get(src, ())
 
     # -- inspection -------------------------------------------------------
 
@@ -304,25 +335,26 @@ class SemanticNet:
         """
         out: list[Violation] = []
         for k, s in enumerate(self.scale, start=1):
-            if not s > 0.0:
-                out.append(Violation(f"channel {k} scale is not positive"))
+            problem = scale_error(k, s)
+            if problem:
+                out.append(Violation(problem))
         seen_labels: set[str] = set()
-        seen_ids: set[int] = set()
-        for v in self.vertices:
+        for pos, v in enumerate(self.vertices):
             if not is_valid_label(v.label):
                 out.append(Violation(
                     f"vertex label {v.label!r} is not an identifier"))
             if v.label in seen_labels:
                 out.append(Violation(f"duplicate vertex label {v.label!r}"))
             seen_labels.add(v.label)
-            if v.id in seen_ids:
-                out.append(Violation(f"duplicate vertex id {v.id}"))
-            seen_ids.add(v.id)
+            if v.id != pos:
+                out.append(Violation(
+                    f"vertex {v.label!r} has id {v.id} but position {pos}"))
             out.extend(self._entry_violations(f"vertex {v.label!r}", v.membership))
+        ids = range(len(self.vertices))
         seen_pairs: set[tuple[int, int]] = set()
         for e in self.edges:
             where = f"edge {e.src} -> {e.dst}"
-            if e.src not in seen_ids or e.dst not in seen_ids:
+            if e.src not in ids or e.dst not in ids:
                 out.append(Violation(f"{where} references a missing vertex"))
                 continue
             if e.src == e.dst:
@@ -370,6 +402,17 @@ class SemanticNet:
 
     # -- internals ----------------------------------------------------------
 
+    def _out_index(self) -> dict[int, dict[int, Edge]]:
+        """The src -> {dst: edge} index, caught up with ``edges``.
+
+        An appended duplicate pair (an invalid net) keeps its first edge.
+        """
+        if self._indexed_edges != len(self.edges):
+            for e in self.edges[self._indexed_edges:]:
+                self._out.setdefault(e.src, {}).setdefault(e.dst, e)
+            self._indexed_edges = len(self.edges)
+        return self._out
+
     def _check_label(self, label: str) -> None:
         if not is_valid_label(label):
             raise NetError(
@@ -391,9 +434,9 @@ class SemanticNet:
                     out.append(Violation(
                         f"{what}: channel {k} indeterminacy coefficient "
                         f"{val.magnitude!r} outside (0, 1]"))
-            elif not val.magnitude >= 0.0:
+            elif not 0.0 <= val.magnitude < math.inf:
                 out.append(Violation(
-                    f"{what}: channel {k} degree is not a nonnegative real"))
+                    f"{what}: channel {k} degree is not a finite nonnegative real"))
             elif val.magnitude > mx:
                 out.append(Violation(
                     f"{what}: channel {k} degree {fmt_number(val.magnitude)} "

@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet, fmt_number
+from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
+                   fmt_number, scale_error)
 
 __all__ = ["ParseError", "parse_net", "format_net"]
 
@@ -182,18 +183,18 @@ def _parse_value(cur: _Cursor) -> tuple[NeutroValue, _Token]:
     if tok is None:
         raise cur._fail("degree value expected")
     if tok.kind == "num":
-        cur.pos += 1
-        return NeutroValue.determinate(tok.value), tok
-    if tok.kind == "inum":
-        cur.pos += 1
-        try:
-            return NeutroValue.indeterminacy(tok.value), tok
-        except NetError as exc:
-            raise ParseError(cur.lineno, tok.col, str(exc), cur.line) from exc
-    if tok.kind == "word" and tok.text == "I":
-        cur.pos += 1
-        return NeutroValue.indeterminacy(1.0), tok
-    raise cur._fail(f"degree value expected, found {tok.text!r}", tok)
+        make, number = NeutroValue.determinate, tok.value
+    elif tok.kind == "inum":
+        make, number = NeutroValue.indeterminacy, tok.value
+    elif tok.kind == "word" and tok.text == "I":
+        make, number = NeutroValue.indeterminacy, 1.0
+    else:
+        raise cur._fail(f"degree value expected, found {tok.text!r}", tok)
+    cur.pos += 1
+    try:
+        return make(number), tok
+    except NetError as exc:
+        raise ParseError(cur.lineno, tok.col, str(exc), cur.line) from exc
 
 
 def _parse_triple(cur: _Cursor) -> tuple[ChannelTriple, list[_Token]]:
@@ -233,9 +234,9 @@ def _parse_header(cur: _Cursor) -> SemanticNet:
         components = []
         for k in range(1, 4):
             tok = cur.take("num", f"channel {k} scale")
-            if not tok.value > 0.0:
-                raise ParseError(cur.lineno, tok.col,
-                                 f"channel {k} scale must be positive", cur.line)
+            problem = scale_error(k, tok.value)
+            if problem:
+                raise ParseError(cur.lineno, tok.col, problem, cur.line)
             components.append(tok.value)
         scale = tuple(components)
     directed = not cur.accept_keyword("undirected")
@@ -278,7 +279,7 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
     if src.id == dst.id:
         raise ParseError(cur.lineno, dst_tok.col,
                          f"loop on vertex {src_tok.text!r} rejected", cur.line)
-    if any(e.src == src.id and e.dst == dst.id for e in net.edges):
+    if net.has_edge(src.id, dst.id):
         raise ParseError(cur.lineno, src_tok.col,
                          f"duplicate edge {src_tok.text!r} -> {dst_tok.text!r}",
                          cur.line)

@@ -18,10 +18,12 @@ JSON path like ``$.edges[0].src``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .analysis import normalize
-from .core import NetError, NetMode, NeutroValue, SemanticNet, is_valid_label
+from .core import (NetError, NetMode, NeutroValue, SemanticNet, is_valid_label,
+                   scale_error)
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
 
@@ -69,7 +71,7 @@ def to_json(net: SemanticNet) -> str:
         }
         for e in net.edges
     ]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _get(obj: dict, key: str, path: str) -> Any:
@@ -105,7 +107,12 @@ def _boolean(value: Any, path: str) -> bool:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "number expected")
-    return float(value)
+    # NaN, Infinity and 1e999 load as non-finite floats; core rejects them
+    # as degrees and scales, and the caller reports that at ``path``.
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return math.inf
 
 
 def _integer(value: Any, path: str) -> int:
@@ -162,8 +169,9 @@ def from_json(text: str) -> SemanticNet:
     scale = []
     for k, component in enumerate(scale_arr):
         value = _number(component, f"$.scale[{k}]")
-        if not value > 0.0:
-            raise SchemaError(f"$.scale[{k}]", "positive number expected")
+        problem = scale_error(k + 1, value)
+        if problem:
+            raise SchemaError(f"$.scale[{k}]", problem)
         scale.append(value)
     directed = True
     if "directed" in root:
@@ -194,7 +202,6 @@ def from_json(text: str) -> SemanticNet:
         except NetError as exc:
             raise SchemaError(path, str(exc)) from exc
 
-    seen_pairs: set[tuple[int, int]] = set()
     for i, item in enumerate(_array(_get(root, "edges", "$"), "$.edges")):
         path = f"$.edges[{i}]"
         obj = _object(item, path)
@@ -206,9 +213,8 @@ def from_json(text: str) -> SemanticNet:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
         if id_map[src] == id_map[dst]:
             raise SchemaError(path, f"loop on vertex id {src} rejected")
-        if (id_map[src], id_map[dst]) in seen_pairs:
+        if net.has_edge(id_map[src], id_map[dst]):
             raise SchemaError(path, f"duplicate edge {src} -> {dst}")
-        seen_pairs.add((id_map[src], id_map[dst]))
         label = _string(obj.get("label", ""), f"{path}.label")
         indeterminate = _boolean(obj.get("indeterminate", False),
                                  f"{path}.indeterminate")

@@ -98,11 +98,10 @@ def from_matrices(mode: NetMode, name: str, scale: tuple[float, float, float],
     net = SemanticNet(mode, name, scale)
     for label, row in zip(membership.labels, membership.rows):
         net.add_vertex(label, row, indeterminate=row.has_indeterminate)
-    n = len(tensor.labels)
-    for i in range(n):
-        for j in range(n):
-            triple = tensor.triple(i, j)
-            if not triple.is_zero:
-                net.add_edge(i, j, triple,
-                             indeterminate=triple.has_indeterminate)
+    for i, rows in enumerate(zip(*tensor.slices)):
+        for j, (c1, c2, c3) in enumerate(zip(*rows)):
+            if c1.is_zero and c2.is_zero and c3.is_zero:
+                continue
+            triple = ChannelTriple(c1, c2, c3)
+            net.add_edge(i, j, triple, indeterminate=triple.has_indeterminate)
     return net

@@ -84,6 +84,18 @@ def scaled_copy(net: SemanticNet, factor: float) -> SemanticNet:
     return scaled
 
 
+def scales_exactly(net: SemanticNet, factor: float) -> bool:
+    """True when ``scaled_copy(net, factor)`` is an exact scaling of ``net``.
+
+    That holds when every determinate degree x has ``(x * factor) / factor
+    == x``; a power-of-two factor breaks it only at the edges of the float
+    range, where 5e-324 * 0.5 underflows to 0.
+    """
+    triples = [v.membership for v in net.vertices] + [e.weight for e in net.edges]
+    return all(v.indeterminate or (v.magnitude * factor) / factor == v.magnitude
+               for triple in triples for v in triple)
+
+
 @st.composite
 def nets(draw, modes: list[NetMode] | None = None, max_vertices: int = 6,
          allow_zero_weight_edges: bool = False, derived_flags: bool = False,

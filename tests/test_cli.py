@@ -190,3 +190,20 @@ def test_output_is_deterministic(capsys, fixtures_dir):
     first = run(capsys, "matrices", fixture(fixtures_dir, "s3.pnet"))
     second = run(capsys, "matrices", fixture(fixtures_dir, "s3.pnet"))
     assert first == second
+
+
+@pytest.mark.parametrize("name,text,location", [
+    ("inf_scale.pnet", 'net fnsn "x" scale 3 1e999 1\n', "1:22: "),
+    ("inf_degree.pnet", 'net fnsn "x"\nvertex a (1e999, 0, 0)\n', "2:11: "),
+    ("inf_scale.json", '{"mode": "FNSN", "name": "x", "scale": [3, Infinity, 1],'
+     ' "vertices": [], "edges": []}', "$.scale[1]: "),
+])
+def test_non_finite_input_exits_one_with_location(capsys, tmp_path, name, text,
+                                                  location):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    for command, *options in (["validate"], ["polarity"],
+                              ["convert", "--to", "json"]):
+        code, out, err = run(capsys, command, str(path), *options)
+        assert (code, out) == (1, "")
+        assert err.startswith(location) and "finite" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from polarnet.core import (
     NetMode,
     NeutroValue,
     SemanticNet,
+    Vertex,
 )
 
 from strategies import nets, triples
@@ -256,3 +258,72 @@ def test_triple_iteration_yields_three_entries(triple):
     values = list(triple)
     assert len(values) == 3
     assert ChannelTriple(*values) == triple
+
+
+def _assert_lookups_match_linear_scans(net):
+    n = len(net.vertices)
+    for vid in range(n):
+        assert net.vertex(vid) is next(v for v in net.vertices if v.id == vid)
+        assert net.out_edges(vid) == [e for e in net.edges if e.src == vid]
+        for dst in range(n + 1):
+            assert net.has_edge(vid, dst) == any(
+                e.src == vid and e.dst == dst for e in net.edges)
+    for v in net.vertices:
+        assert net.find_vertex(v.label) is next(
+            w for w in net.vertices if w.label == v.label)
+    assert net.find_vertex("never_drawn_label") is None
+    for bad in (-1, n):
+        with pytest.raises(NetError, match="unknown vertex"):
+            net.vertex(bad)
+
+
+@given(nets(), st.data())
+def test_indexed_lookups_match_linear_scans(net, data):
+    _assert_lookups_match_linear_scans(net)
+    n = len(net.vertices)
+    net.vertices.append(Vertex(n, "appended_vertex", ChannelTriple.zero()))
+    src = data.draw(st.integers(0, n))
+    dst = data.draw(st.integers(0, n + 1))  # may be a loop or a missing vertex
+    if not any(e.src == src and e.dst == dst for e in net.edges):
+        net.edges.append(Edge(src, dst, ChannelTriple.of(1, 0, 0)))
+    _assert_lookups_match_linear_scans(net)
+
+
+def test_lookup_indexes_stay_out_of_equality_and_repr():
+    built = SemanticNet(NetMode.FNSN, "x")
+    a = built.add_vertex("a", (1, 0, 0))
+    b = built.add_vertex("b", (1, 0, 0))
+    built.add_edge(a, b, (1, 0, 0))
+    assert built.has_edge(a, b) and built.find_vertex("a") is not None
+    raw = SemanticNet(NetMode.FNSN, "x", vertices=list(built.vertices),
+                      edges=list(built.edges))
+    assert raw == built
+    assert repr(raw) == repr(built)
+
+
+def test_validate_reports_id_that_is_not_the_position():
+    net = SemanticNet(NetMode.FNSN, "x",
+                      vertices=[Vertex(5, "a", ChannelTriple.zero())])
+    assert [v.message for v in net.validate()] == [
+        "vertex 'a' has id 5 but position 0"]
+    with pytest.raises(NetError, match="unknown vertex id 5"):
+        net.vertex(5)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_determinate_rejects_infinity(self, bad):
+        with pytest.raises(NetError, match="finite"):
+            NeutroValue.determinate(bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_scale_rejects_non_finite(self, bad):
+        with pytest.raises(NetError, match="channel 2 scale must be positive "
+                                           "and finite"):
+            SemanticNet(NetMode.FNSN, "x", (3, bad, 1))
+
+    def test_validate_reports_non_finite_scale(self):
+        net = SemanticNet(NetMode.FNSN, "x")
+        net.scale = (3.0, 2.0, math.inf)
+        assert [v.message for v in net.validate()] == [
+            "channel 3 scale must be positive and finite, got inf"]

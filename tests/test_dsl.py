@@ -157,3 +157,17 @@ def test_single_line_corruption_is_reported_on_that_line(fixtures_dir):
         with pytest.raises(ParseError) as info:
             parse_net("\n".join(corrupted))
         assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("source,line,column,message_part", [
+    ('net fnsn "x" scale 1e999 2 1', 1, 20,
+     "channel 1 scale must be positive and finite, got inf"),
+    ('net fnsn "x"\nvertex a (1e999, 0, 0)', 2, 11, "not a finite nonnegative real"),
+    ('net fnsn "x"\nvertex a (0, 0, 0)\nvertex b (0, 0, 0)\n'
+     'edge a -> b (0, 0, 1e400)', 4, 20, "not a finite nonnegative real"),
+])
+def test_non_finite_numbers_are_located_errors(source, line, column, message_part):
+    with pytest.raises(ParseError) as info:
+        parse_net(source)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert message_part in info.value.message

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -199,3 +200,28 @@ def test_json_roundtrip_equality(net):
 @given(nets())
 def test_dot_output_is_well_formed(net):
     check_dot_well_formed(to_dot(net))
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda text: text.replace("3.0", "Infinity", 1), "$.scale[0]"),
+    (lambda text: text.replace("2.0", "NaN", 1), "$.scale[1]"),
+    (lambda text: text.replace("1.0", "1e999", 1), "$.scale[2]"),
+    (lambda text: text.replace("1.0", "1" + "0" * 400, 1), "$.scale[2]"),
+    (lambda text: text.replace('{"d": 0.0}', '{"d": Infinity}', 1),
+     "$.vertices[0].membership[1]"),
+    (lambda text: text.replace('{"d": 2.4}', '{"d": -Infinity}', 1),
+     "$.edges[0].weight[0]"),
+])
+def test_non_finite_numbers_report_paths(s1_net, mutate, path):
+    text = mutate(json.dumps(json.loads(to_json(s1_net))))
+    with pytest.raises(SchemaError) as info:
+        from_json(text)
+    assert info.value.path == path
+    assert "finite" in info.value.message
+
+
+def test_to_json_never_writes_non_finite_numbers():
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.scale = (math.inf, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        to_json(net)
