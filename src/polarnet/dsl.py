@@ -19,6 +19,12 @@ suggested extension is ``.pnet``.
 Every input either parses to a net or raises :class:`ParseError` with a
 1-based line and column; semantic problems (duplicate vertex, unknown edge
 endpoint, out-of-range degree) are reported at the offending token.
+
+After the header, a well-formed vertex or edge line is read with one regex
+match.  The header, every other line, and every line that would fail (no
+match, an unknown endpoint, or any error from core) go through the token
+parser, which alone raises :class:`ParseError`, so errors are located and
+worded the same whichever way a line was first tried.
 """
 from __future__ import annotations
 
@@ -31,9 +37,28 @@ from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
 __all__ = ["ParseError", "parse_net", "format_net"]
 
 _MODES = {m.value.lower(): m for m in NetMode}
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM_RE = re.compile(_NUM)
+_WORD_RE = re.compile(_IDENT)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+
+# Whole-line patterns for well-formed vertex and edge statements.  They
+# accept only lines the tokenizer reads the same way: ASCII digits and
+# letters (the tokenizer's \d and isalnum() also take other scripts),
+# blanks and tabs as the only whitespace, a blank between adjacent words,
+# and no letter, digit, '_' or '.' right after a number.
+_VALUE = rf"({_NUM}I?(?![\w.])|I)"
+_TRIPLE = rf"\([ \t]*{_VALUE}[ \t]*,[ \t]*{_VALUE}[ \t]*,[ \t]*{_VALUE}[ \t]*\)"
+_TAIL = r"(?:[ \t]*(indeterminate))?[ \t]*(?:#.*)?"
+_QUOTED_BODY = (r'((?:[^"\\]|\\['
+                + "".join(re.escape(c) for c in _ESCAPES) + r'])*)')
+_VERTEX_LINE = re.compile(
+    rf"[ \t]*vertex[ \t]+({_IDENT})[ \t]*{_TRIPLE}{_TAIL}", re.ASCII)
+_EDGE_LINE = re.compile(
+    rf"[ \t]*edge[ \t]+({_IDENT})[ \t]*->[ \t]*({_IDENT})"
+    rf'(?:[ \t]+label[ \t]*"{_QUOTED_BODY}")?[ \t]*{_TRIPLE}{_TAIL}', re.ASCII)
+_ESCAPE_SEQ = re.compile(r"\\(.)")
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -291,6 +316,52 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
         raise ParseError(cur.lineno, src_tok.col, str(exc), cur.line) from exc
 
 
+def _value(text: str) -> NeutroValue:
+    if text == "I":
+        return NeutroValue.indeterminacy(1.0)
+    if text[-1] == "I":
+        return NeutroValue.indeterminacy(float(text[:-1]))
+    return NeutroValue.determinate(float(text))
+
+
+def _triple(texts: list[str], values: dict[str, NeutroValue]) -> ChannelTriple:
+    # Values are immutable, so one parse shares a value among equal texts.
+    return ChannelTriple(*[values.get(text) or values.setdefault(text, _value(text))
+                           for text in texts])
+
+
+def _add_statement(net: SemanticNet, line: str,
+                   values: dict[str, NeutroValue]) -> bool:
+    """Add a well-formed vertex or edge line to ``net`` with one match.
+
+    Returns False, leaving ``net`` unchanged, for any other line, including
+    one naming an unknown vertex or one that core rejects; the token parser
+    then reads that line and reports its error at the offending token.
+    """
+    try:
+        m = _VERTEX_LINE.fullmatch(line)
+        if m is not None:
+            label, *texts, flag = m.groups()
+            net.add_vertex(label, _triple(texts, values),
+                           indeterminate=flag is not None)
+            return True
+        m = _EDGE_LINE.fullmatch(line)
+        if m is None:
+            return False
+        src_label, dst_label, label, *texts, flag = m.groups()
+        src = net.find_vertex(src_label)
+        dst = net.find_vertex(dst_label)
+        if src is None or dst is None:
+            return False
+        if label and "\\" in label:
+            label = _ESCAPE_SEQ.sub(lambda esc: _ESCAPES[esc.group(1)], label)
+        net.add_edge(src.id, dst.id, _triple(texts, values), label=label or "",
+                     indeterminate=flag is not None)
+        return True
+    except NetError:
+        return False
+
+
 def parse_net(source: str) -> SemanticNet:
     """Parse net description text into a :class:`SemanticNet`.
 
@@ -299,9 +370,12 @@ def parse_net(source: str) -> SemanticNet:
             1-based line and column of the offending token.
     """
     net: SemanticNet | None = None
+    values: dict[str, NeutroValue] = {}
     lines = source.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
+        if net is not None and _add_statement(net, line, values):
+            continue
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue

@@ -155,6 +155,9 @@ def from_json(text: str) -> SemanticNet:
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"malformed JSON: {exc.msg} "
                           f"(line {exc.lineno} column {exc.colno})") from exc
+    except RecursionError:
+        raise SchemaError("$", "malformed JSON: arrays or objects nested "
+                          "too deeply") from None
     root = _object(doc, "$")
     mode_name = _string(_get(root, "mode", "$"), "$.mode")
     try:

@@ -4,7 +4,7 @@ import pytest
 
 from polarnet import fixtures
 
-FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+from strategies import FIXTURES_DIR
 
 
 @pytest.fixture

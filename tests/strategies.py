@@ -1,11 +1,17 @@
-"""Shared hypothesis strategies that generate valid semantic nets."""
+"""Shared hypothesis strategies: valid semantic nets, and ``.pnet`` and JSON
+texts near them for differential and totality properties."""
 from __future__ import annotations
 
+import json
+import re
 import string
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from polarnet.core import ChannelTriple, NetMode, NeutroValue, SemanticNet
+from polarnet.dsl import format_net
+from polarnet.io import to_json
 
 LABEL_FIRST = string.ascii_letters + "_"
 LABEL_REST = string.ascii_letters + string.digits + "_"
@@ -123,3 +129,114 @@ def nets(draw, modes: list[NetMode] | None = None, max_vertices: int = 6,
         flag = weight.has_indeterminate if derived_flags else draw(st.booleans())
         net.add_edge(src, dst, weight, label=draw(texts), indeterminate=flag)
     return net
+
+
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8")
+                 for path in sorted(FIXTURES_DIR.glob("*.pnet"))]
+
+# Replacements for one number or label of a statement line: values the
+# parser must reject or read differently, and labels that are unknown,
+# already taken, or not identifiers.  "٣" is ARABIC-INDIC DIGIT THREE, a
+# digit to the tokenizer's \d and to float().
+ODD_NUMBERS = ["1e999", "2I", "0.5.2", "Ix", "I", "1.", ".5", "1e", "1e5",
+               "1I", "0", "00", "1_0", "٣", "1٣", "-1", "+1", ""]
+ODD_LABELS = ["zz", "a", "b", "vertex", "edge", "label", "I", "indeterminate",
+              "1a", "é", "a-b", ""]
+INSERTED = [" ", "\t", "#", "\r", "(", ")", ",", '"', "\\", "-", ">", "->", "I",
+            "0", ".", "e", "_", "x", "٣", "é", "\xa0", "\x0b", "\x0c"]
+_NUMBER_RE = re.compile(r"(?<![\w.])(?:\d+(?:\.\d*)?(?:e[+-]?\d+)?I?|I)(?![\w.])")
+_WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+@st.composite
+def mutated_pnet(draw) -> str:
+    """``.pnet`` text near the valid language: a canonical or fixture text
+    with a few line-level mutations.  Much of it still parses."""
+    if draw(st.booleans()):
+        text = format_net(draw(nets()))
+    else:
+        text = draw(st.sampled_from(FIXTURE_TEXTS))
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        statements = [k for k, line in enumerate(lines)
+                      if not line.startswith("net ")]
+        if statements and draw(st.integers(0, 4)):
+            i = draw(st.sampled_from(statements))
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        pos = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(
+            ["insert", "delete", "truncate", "number", "label", "comment",
+             "duplicate", "drop", "swap"]))
+        if kind == "insert":
+            line = line[:pos] + draw(st.sampled_from(INSERTED)) + line[pos:]
+        elif kind == "delete":
+            line = line[:pos] + line[pos + 1:]
+        elif kind == "truncate":
+            line = line[:pos]
+        elif kind in ("number", "label"):
+            pattern = _NUMBER_RE if kind == "number" else _WORD_RE
+            spans = [m.span() for m in pattern.finditer(line)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                new = draw(st.sampled_from(ODD_NUMBERS if kind == "number"
+                                           else ODD_LABELS))
+                line = line[:start] + new + line[end:]
+        elif kind == "comment":
+            line = line[:pos] + draw(st.sampled_from([" # x", "#", "\t#\"("]))
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "drop":
+            del lines[i]
+            continue
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+            continue
+        lines[i] = line
+    return "\n".join(lines)
+
+
+# 2**1024 is an integer literal beyond the float range.
+json_scalars = (st.none() | st.booleans() | st.integers() | st.just(2**1024)
+                | st.floats() | st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12)
+
+
+def _json_slots(doc, path=()):
+    """Paths of every value inside a decoded JSON document."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_slots(value, path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _json_slots(value, path + (k,))
+
+
+@st.composite
+def json_documents(draw) -> str:
+    """JSON text: an arbitrary value, or a valid net document with one value
+    replaced by an arbitrary one or a key removed."""
+    if draw(st.integers(0, 3)) == 0:
+        return json.dumps(draw(json_values))
+    doc = json.loads(to_json(draw(nets(max_vertices=3))))
+    path = draw(st.sampled_from(list(_json_slots(doc))))
+    if not path:
+        return json.dumps(draw(json_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_scalars | json_values)
+    return json.dumps(doc)

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarnet.cli import main
+
+from strategies import json_documents, mutated_pnet
 
 
 def run(capsys, *argv):
@@ -207,3 +215,52 @@ def test_non_finite_input_exits_one_with_location(capsys, tmp_path, name, text,
         code, out, err = run(capsys, command, str(path), *options)
         assert (code, out) == (1, "")
         assert err.startswith(location) and "finite" in err
+
+
+def test_deeply_nested_json_exits_one_with_location(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("$: ") and "nested too deeply" in err
+
+
+_COMMANDS = [["validate"], ["classify"], ["matrices"], ["render"], ["polarity"],
+             ["convert", "--to", "json"], ["convert", "--to", "pnet"],
+             ["validate", "--format", "pnet"], ["validate", "--format", "json"]]
+
+
+@st.composite
+def cli_runs(draw):
+    """A fuzzed .pnet or .json file and a command line to run on it."""
+    name, text = draw(st.one_of(
+        mutated_pnet().map(lambda text: ("net.pnet", text)),
+        json_documents().map(lambda text: ("net.json", text))))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        data = draw(st.binary(max_size=40))
+    labels = re.findall(r"[A-Za-z_]\w*", text) or ["nobody"]
+    command = draw(st.sampled_from(_COMMANDS + [["select"]]))
+    if command == ["select"]:
+        command = ["select", "--vertex", draw(st.sampled_from(labels)),
+                   "--prefer", draw(st.sampled_from(["positive", "neutral",
+                                                     "negative", "up"]))]
+    return name, data, command
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+def test_cli_is_total_over_fuzzed_files(case):
+    name, data, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        argv = [command[0], str(path), *command[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2 and "up" in argv
+    assert code in (0, 1, 2)

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarnet import fixtures
+from polarnet import dsl, fixtures
 from polarnet.core import NetMode, NeutroValue, SemanticNet
 from polarnet.dsl import ParseError, format_net, parse_net
 
-from strategies import nets
+from strategies import FIXTURE_TEXTS, mutated_pnet, nets
 
 
 class TestParseFixtures:
@@ -171,3 +171,64 @@ def test_non_finite_numbers_are_located_errors(source, line, column, message_par
         parse_net(source)
     assert (info.value.line, info.value.column) == (line, column)
     assert message_part in info.value.message
+
+
+def _outcome(source):
+    try:
+        return parse_net(source)
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+def _token_path_outcome(source):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_add_statement", lambda net, line, values: False)
+        return _outcome(source)
+
+
+@settings(max_examples=400)
+@given(mutated_pnet())
+@example('net fnsn "x"\nvertex a (1٣, 0, 0)')
+@example('net fnsn "x"\nvertex a (٣, 0, 0)\nvertex b (0, 0, 0)')
+@example('net fnsn "x"\nvertex a (1e٣, 0, 0)')
+@example('net fnsn "x"\nvertex a (0, 0, 0)\nvertex b (0, 0, 0)\n'
+         'edge a -> b label "x\\ty\\\\n\\"#" (0, 0, 1) indeterminate # c')
+@example('net fnsn "x"\nvertex a(0,0,0)indeterminate#c\nvertex b ( I , 1I , .5 )\n'
+         'edge a->b label"" (1.,0,0)\nedge b -> a label "é" (1e-5, 0, 0)\r')
+@example('net fnsn "x"\nvertex a (,0, 0)\nvertex b (I0, 0, 0)')
+@example('net fnsn "x"\n\x0bvertex a (0, 0, 0)')
+@example('net fnsn "x"\nvertex a (0, 0, 0) indeterminate\x0c')
+@example('net fnsn "x"\nvertex a (0,\xa00, 0)\nvertex b (0, 0, 0)\r\r')
+@example('net fnsn "x"\nvertexa (0, 0, 0)\nvertex a (0, 0, 0) indeterminatex')
+@example('net fnsn "x"\nvertex a (0, 0, 0)\nvertex b (0, 0, 0)\n'
+         'edge a -> blabel "x" (0, 0, 1)\nedge a -> b label (0, 0, 1)')
+def test_statement_fast_path_agrees_with_token_parser(source):
+    assert _outcome(source) == _token_path_outcome(source)
+
+
+def _parse_counting_fast_path(text):
+    """Parse ``text``; also return how many lines the fast path added."""
+    added = []
+    original = dsl._add_statement
+
+    def counting(*args):
+        added.append(original(*args))
+        return added[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_add_statement", counting)
+        net = parse_net(text)
+    return net, added.count(True)
+
+
+@given(nets())
+def test_fast_path_reads_every_canonical_statement(net):
+    parsed, fast = _parse_counting_fast_path(format_net(net))
+    assert parsed == net
+    assert fast == len(net.vertices) + len(net.edges)
+
+
+@pytest.mark.parametrize("text", FIXTURE_TEXTS)
+def test_fast_path_reads_every_fixture_statement(text):
+    net, fast = _parse_counting_fast_path(text)
+    assert fast == len(net.vertices) + len(net.edges) > 0

@@ -9,7 +9,7 @@ from polarnet.core import NetMode, SemanticNet
 from polarnet.io import SchemaError, from_json, to_dot, to_json
 from polarnet.matrix import adjacency_tensor
 
-from strategies import nets
+from strategies import json_documents, nets
 
 
 def check_dot_well_formed(text):
@@ -84,6 +84,14 @@ class TestFromJson:
             from_json("{nope")
         assert info.value.path == "$"
         assert "malformed JSON" in info.value.message
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000,
+                                      "[" * 100_000 + "]" * 100_000])
+    def test_deep_nesting_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError) as info:
+            from_json(text)
+        assert info.value.path == "$"
+        assert "nested too deeply" in info.value.message
 
     @pytest.mark.parametrize("mutate,path", [
         (lambda d: d.update(mode=3), "$.mode"),
@@ -225,3 +233,12 @@ def test_to_json_never_writes_non_finite_numbers():
     net.scale = (math.inf, 2.0, 1.0)
     with pytest.raises(ValueError):
         to_json(net)
+
+
+@given(json_documents())
+def test_from_json_is_total(text):
+    try:
+        result = from_json(text)
+    except SchemaError:
+        return
+    assert isinstance(result, SemanticNet)
