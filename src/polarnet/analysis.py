@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ChannelTriple, NetError, SemanticNet, fmt_number
+from .core import ChannelTriple, NetError, SemanticNet, entry_problem, fmt_number
 
 __all__ = [
     "Polarity",
@@ -73,7 +73,8 @@ def normalize(triple: ChannelTriple,
     """Map a channel triple onto [0, 1] by the per-channel maxima.
 
     Indeterminacy entries contribute 0 to their component and set
-    ``has_indeterminacy``.
+    ``has_indeterminacy``.  A degree above its maximum raises core's
+    range error; the one compare per channel keeps this hot path cheap.
     """
     components = []
     flag = False
@@ -83,9 +84,7 @@ def normalize(triple: ChannelTriple,
             flag = True
         else:
             if val.magnitude > mx:
-                raise NetError(
-                    f"channel {k} degree {fmt_number(val.magnitude)} "
-                    f"exceeds scale {fmt_number(mx)}")
+                raise entry_problem(k, val, mx)
             components.append(val.magnitude / mx)
     return NormalizedTriple(*components, has_indeterminacy=flag)
 

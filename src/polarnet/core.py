@@ -9,6 +9,12 @@ coefficient n in (0, 1].
 
 Nets are built single-writer through ``add_vertex``/``add_edge``; a finished
 net is treated as immutable and is safe to share across threads for reads.
+
+This module is the one place that checks the invariants: entry domain and
+range, PNSN crispness, label syntax, unique labels, no loops and no
+duplicate edges.  Construction raises a :class:`NetError` whose ``kind`` and
+``channel`` say which invariant broke and where, and the ``.pnet`` and JSON
+loaders turn those into locations in their input without checking again.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ __all__ = [
     "Violation",
     "Order",
     "SemanticNet",
+    "entry_problem",
     "fmt_number",
     "is_valid_label",
     "scale_error",
@@ -45,7 +52,20 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class NetError(ValueError):
-    """Raised when a construction step would break a net invariant."""
+    """Raised when a construction step would break a net invariant.
+
+    ``kind`` names the invariant: "scale", "coefficient", "non-finite",
+    "range", "non-crisp" (reported by ``validate`` only), "label",
+    "duplicate label", "loop" or "duplicate edge"; it is None for other
+    errors, such as an unknown vertex id.  ``channel`` is the 1-based channel
+    of a scale or entry problem once it is known, else None.
+    """
+
+    def __init__(self, message: str, kind: str | None = None,
+                 channel: int | None = None):
+        super().__init__(message)
+        self.kind = kind
+        self.channel = channel
 
 
 def is_valid_label(label: object) -> bool:
@@ -82,15 +102,10 @@ class NeutroValue:
     indeterminate: bool = False
 
     def __post_init__(self) -> None:
-        m = float(self.magnitude)
-        object.__setattr__(self, "magnitude", m)
-        if self.indeterminate:
-            if not 0.0 < m <= 1.0:
-                raise NetError(
-                    f"indeterminacy coefficient {m!r} outside (0, 1]")
-        elif not 0.0 <= m < math.inf:  # also rejects NaN
-            raise NetError(
-                f"determinate degree {m!r} is not a finite nonnegative real")
+        object.__setattr__(self, "magnitude", float(self.magnitude))
+        problem = entry_problem(None, self)
+        if problem:
+            raise problem
 
     @classmethod
     def determinate(cls, value: float) -> "NeutroValue":
@@ -215,12 +230,43 @@ class Violation:
         return f"{self.severity}: {self.message}"
 
 
-def scale_error(k: int, value: float) -> str | None:
+def entry_problem(k: int | None, value: NeutroValue, mx: float = math.inf,
+                  mode: NetMode | None = None) -> NetError | None:
+    """The first problem of ``value`` as the channel ``k`` entry, or None.
+
+    An indeterminacy needs a coefficient in (0, 1].  A determinate degree
+    must be a finite nonnegative real no larger than the channel maximum
+    ``mx``, and in a PNSN ``mode`` crisp: 0 or ``mx``.  A value checks its
+    own domain with ``k`` None when it is built; ``validate`` passes all of
+    channel, maximum and mode.  A valid entry allocates nothing.
+    """
+    m = value.magnitude
+    if value.indeterminate:
+        if 0.0 < m <= 1.0:
+            return None
+        kind, text = "coefficient", f"indeterminacy coefficient {m!r} outside (0, 1]"
+    elif not 0.0 <= m < math.inf:  # also NaN
+        kind, text = ("non-finite",
+                      f"determinate degree {m!r} is not a finite nonnegative real")
+    elif m > mx:
+        kind, text = ("range",
+                      f"degree {fmt_number(m)} exceeds scale {fmt_number(mx)}")
+    elif mode is NetMode.PNSN and m != 0.0 and m != mx:
+        kind, text = ("non-crisp", f"non-crisp degree {fmt_number(m)} "
+                      f"(PNSN requires 0 or {fmt_number(mx)})")
+    else:
+        return None
+    if k is not None:
+        text = f"channel {k} {text}"
+    return NetError(text, kind, k)
+
+
+def scale_error(k: int, value: float) -> NetError | None:
     """Why ``value`` cannot be the channel ``k`` scale maximum, or None."""
     if 0.0 < value < math.inf:
         return None
-    return (f"channel {k} scale must be positive and finite, "
-            f"got {fmt_number(value)}")
+    return NetError(f"channel {k} scale must be positive and finite, "
+                    f"got {fmt_number(value)}", "scale", k)
 
 
 class Order(NamedTuple):
@@ -250,7 +296,6 @@ class SemanticNet:
     mode: NetMode
     name: str = ""
     scale: tuple[float, float, float] = DEFAULT_SCALE
-    directed: bool = True
     vertices: list[Vertex] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
 
@@ -261,7 +306,7 @@ class SemanticNet:
         for k, s in enumerate(scale, start=1):
             problem = scale_error(k, s)
             if problem:
-                raise NetError(problem)
+                raise problem
         self.scale = scale
         self._by_label: dict[str, Vertex] = {}
         self._out: dict[int, dict[int, Edge]] = {}
@@ -273,11 +318,14 @@ class SemanticNet:
     def add_vertex(self, label: str, membership: TripleLike,
                    indeterminate: bool = False) -> int:
         """Append a vertex and return its id (the insertion index)."""
-        self._check_label(label)
+        if not is_valid_label(label):
+            raise NetError(
+                f"label {label!r} must be an identifier "
+                "(letters, digits, underscore; not starting with a digit)",
+                "label")
         if self.find_vertex(label) is not None:
-            raise NetError(f"duplicate vertex label {label!r}")
-        triple = _coerce_triple(membership)
-        self._check_range(f"vertex {label!r}", triple)
+            raise NetError(f"duplicate vertex label {label!r}", "duplicate label")
+        triple = self._in_scale(membership)
         vid = len(self.vertices)
         self.vertices.append(Vertex(vid, label, triple, bool(indeterminate)))
         return vid
@@ -285,15 +333,14 @@ class SemanticNet:
     def add_edge(self, src: int, dst: int, weight: TripleLike, label: str = "",
                  indeterminate: bool = False) -> Edge:
         """Append a directed edge src -> dst and return it."""
-        self.vertex(src)
-        self.vertex(dst)
+        source = self.vertex(src)
+        target = self.vertex(dst)
         if src == dst:
-            raise NetError(f"loop on vertex {src} rejected")
+            raise NetError(f"loop on vertex {source.label!r} rejected", "loop")
         if self.has_edge(src, dst):
-            raise NetError(f"duplicate edge {src} -> {dst}")
-        triple = _coerce_triple(weight)
-        self._check_range(f"edge {src} -> {dst}", triple)
-        edge = Edge(src, dst, triple, label, bool(indeterminate))
+            raise NetError(f"duplicate edge {source.label!r} -> {target.label!r}",
+                           "duplicate edge")
+        edge = Edge(src, dst, self._in_scale(weight), label, bool(indeterminate))
         self.edges.append(edge)
         return edge
 
@@ -337,7 +384,7 @@ class SemanticNet:
         for k, s in enumerate(self.scale, start=1):
             problem = scale_error(k, s)
             if problem:
-                out.append(Violation(problem))
+                out.append(Violation(str(problem)))
         seen_labels: set[str] = set()
         for pos, v in enumerate(self.vertices):
             if not is_valid_label(v.label):
@@ -413,36 +460,23 @@ class SemanticNet:
             self._indexed_edges = len(self.edges)
         return self._out
 
-    def _check_label(self, label: str) -> None:
-        if not is_valid_label(label):
-            raise NetError(
-                f"label {label!r} must be an identifier "
-                "(letters, digits, underscore; not starting with a digit)")
+    def _in_scale(self, triple: TripleLike) -> ChannelTriple:
+        """``triple`` as a ChannelTriple; raises its first degree above scale.
 
-    def _check_range(self, what: str, triple: ChannelTriple) -> None:
+        Values check their own coefficient and finiteness when built, and
+        crispness is left to ``validate``, so one compare per channel is the
+        whole construction check; ``entry_problem`` words a failure.
+        """
+        triple = _coerce_triple(triple)
         for k, (val, mx) in enumerate(zip(triple, self.scale), start=1):
-            if not val.indeterminate and val.magnitude > mx:
-                raise NetError(
-                    f"{what}: channel {k} degree {fmt_number(val.magnitude)} "
-                    f"exceeds scale {fmt_number(mx)}")
+            if val.magnitude > mx and not val.indeterminate:
+                raise entry_problem(k, val, mx)
+        return triple
 
     def _entry_violations(self, what: str, triple: ChannelTriple) -> list[Violation]:
         out: list[Violation] = []
         for k, (val, mx) in enumerate(zip(triple, self.scale), start=1):
-            if val.indeterminate:
-                if not 0.0 < val.magnitude <= 1.0:
-                    out.append(Violation(
-                        f"{what}: channel {k} indeterminacy coefficient "
-                        f"{val.magnitude!r} outside (0, 1]"))
-            elif not 0.0 <= val.magnitude < math.inf:
-                out.append(Violation(
-                    f"{what}: channel {k} degree is not a finite nonnegative real"))
-            elif val.magnitude > mx:
-                out.append(Violation(
-                    f"{what}: channel {k} degree {fmt_number(val.magnitude)} "
-                    f"exceeds scale {fmt_number(mx)}"))
-            elif self.mode is NetMode.PNSN and val.magnitude not in (0.0, mx):
-                out.append(Violation(
-                    f"{what}: non-crisp degree {fmt_number(val.magnitude)} on "
-                    f"channel {k} (PNSN requires 0 or {fmt_number(mx)})"))
+            problem = entry_problem(k, val, mx, self.mode)
+            if problem:
+                out.append(Violation(f"{what}: {problem}"))
         return out

@@ -3,7 +3,7 @@
 One statement per line; ``#`` starts a comment; blank lines are ignored.
 The header must be the first statement::
 
-    header : "net" MODE QUOTED_NAME [ "scale" NUM NUM NUM ] [ "undirected" ]
+    header : "net" MODE QUOTED_NAME [ "scale" NUM NUM NUM ]
     MODE   : "fnsn" | "pnsn" | "pfnsn"
     vertex : "vertex" IDENT triple [ "indeterminate" ]
     edge   : "edge" IDENT "->" IDENT [ "label" QUOTED ] triple [ "indeterminate" ]
@@ -11,14 +11,17 @@ The header must be the first statement::
     value  : NUM | NUM "I" | "I"
 
 IDENT is an identifier (letters, digits, underscore; not starting with a
-digit).  NUM is a nonnegative decimal; "0.5I" denotes the indeterminacy
-0.5*I and a bare "I" has coefficient 1.  Quoted strings support the escapes
-\\" \\\\ \\n \\r \\t.  Files are UTF-8 with LF or CRLF line endings; the
-suggested extension is ``.pnet``.
+digit).  NUM is a nonnegative decimal written with ASCII digits; "0.5I"
+denotes the indeterminacy 0.5*I and a bare "I" has coefficient 1.  Quoted
+strings support the escapes \\" \\\\ \\n \\r \\t.  Files are UTF-8 with LF or
+CRLF line endings; the suggested extension is ``.pnet``.
 
 Every input either parses to a net or raises :class:`ParseError` with a
-1-based line and column; semantic problems (duplicate vertex, unknown edge
-endpoint, out-of-range degree) are reported at the offending token.
+1-based line and column.  The parser resolves vertex names (an unknown edge
+endpoint is its own error); core checks every net invariant, and its error
+is reported at the token it concerns: a channel problem at the value, a
+duplicate label at the label, a loop at the destination and a duplicate
+edge at the source.  Messages are core's, so they read the same as JSON's.
 
 After the header, a well-formed vertex or edge line is read with one regex
 match.  The header, every other line, and every line that would fail (no
@@ -32,22 +35,21 @@ import re
 from dataclasses import dataclass
 
 from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
-                   fmt_number, scale_error)
+                   fmt_number)
 
 __all__ = ["ParseError", "parse_net", "format_net"]
 
 _MODES = {m.value.lower(): m for m in NetMode}
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUM_RE = re.compile(_NUM)
+_NUM_RE = re.compile(_NUM, re.ASCII)
 _WORD_RE = re.compile(_IDENT)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 
 # Whole-line patterns for well-formed vertex and edge statements.  They
 # accept only lines the tokenizer reads the same way: ASCII digits and
-# letters (the tokenizer's \d and isalnum() also take other scripts),
-# blanks and tabs as the only whitespace, a blank between adjacent words,
-# and no letter, digit, '_' or '.' right after a number.
+# letters, blanks and tabs as the only whitespace, a blank between adjacent
+# words, and no letter, digit, '_' or '.' right after a number.
 _VALUE = rf"({_NUM}I?(?![\w.])|I)"
 _TRIPLE = rf"\([ \t]*{_VALUE}[ \t]*,[ \t]*{_VALUE}[ \t]*,[ \t]*{_VALUE}[ \t]*\)"
 _TAIL = r"(?:[ \t]*(indeterminate))?[ \t]*(?:#.*)?"
@@ -65,15 +67,11 @@ _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 class ParseError(Exception):
     """A syntax or semantic error located in the input text."""
 
-    def __init__(self, line: int, column: int, message: str, snippet: str = ""):
+    def __init__(self, line: int, column: int, message: str):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
         self.message = message
-        self.snippet = snippet
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                 tokens.append(_Token("->", "->", col))
                 pos += 2
                 continue
-            raise ParseError(lineno, col, "expected '->'", line)
+            raise ParseError(lineno, col, "expected '->'")
         if ch == '"':
             pos += 1
             out: list[str] = []
@@ -115,11 +113,11 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                 if c == "\\":
                     if pos + 1 >= n:
                         raise ParseError(lineno, pos + 1,
-                                         "dangling escape in string", line)
+                                         "dangling escape in string")
                     esc = line[pos + 1]
                     if esc not in _ESCAPES:
                         raise ParseError(lineno, pos + 2,
-                                         f"unknown escape '\\{esc}'", line)
+                                         f"unknown escape '\\{esc}'")
                     out.append(_ESCAPES[esc])
                     pos += 2
                     continue
@@ -129,7 +127,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                 out.append(c)
                 pos += 1
             else:
-                raise ParseError(lineno, n + 1, "unterminated string", line)
+                raise ParseError(lineno, n + 1, "unterminated string")
             tokens.append(_Token("quoted", line[col - 1:pos], col,
                                  string="".join(out)))
             continue
@@ -144,7 +142,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                 text = line[pos:end]
             if end < n and (line[end].isalnum() or line[end] in "_."):
                 raise ParseError(lineno, col, f"malformed number starting "
-                                 f"at {line[pos:end + 1]!r}", line)
+                                 f"at {line[pos:end + 1]!r}")
             tokens.append(_Token(kind, text, col, value=float(m.group(0))))
             pos = end
             continue
@@ -153,7 +151,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             tokens.append(_Token("word", m.group(0), col))
             pos = m.end()
             continue
-        raise ParseError(lineno, col, f"unexpected character {ch!r}", line)
+        raise ParseError(lineno, col, f"unexpected character {ch!r}")
     return tokens
 
 
@@ -173,7 +171,7 @@ class _Cursor:
 
     def _fail(self, message: str, tok: _Token | None = None) -> ParseError:
         col = tok.col if tok is not None else len(self.line) + 1
-        return ParseError(self.lineno, col, message, self.line)
+        return ParseError(self.lineno, col, message)
 
     def take(self, kind: str, what: str) -> _Token:
         tok = self.peek()
@@ -181,13 +179,6 @@ class _Cursor:
             found = f", found {tok.text!r}" if tok is not None else ""
             raise self._fail(f"{what} expected{found}", tok)
         self.pos += 1
-        return tok
-
-    def take_keyword(self, keyword: str) -> _Token:
-        tok = self.take("word", f"'{keyword}'")
-        if tok.text != keyword:
-            raise ParseError(self.lineno, tok.col,
-                             f"'{keyword}' expected, found {tok.text!r}", self.line)
         return tok
 
     def accept_keyword(self, keyword: str) -> bool:
@@ -219,7 +210,7 @@ def _parse_value(cur: _Cursor) -> tuple[NeutroValue, _Token]:
     try:
         return make(number), tok
     except NetError as exc:
-        raise ParseError(cur.lineno, tok.col, str(exc), cur.line) from exc
+        raise ParseError(cur.lineno, tok.col, str(exc)) from exc
 
 
 def _parse_triple(cur: _Cursor) -> tuple[ChannelTriple, list[_Token]]:
@@ -236,52 +227,44 @@ def _parse_triple(cur: _Cursor) -> tuple[ChannelTriple, list[_Token]]:
     return ChannelTriple(*values), tokens
 
 
-def _check_range(cur: _Cursor, net: SemanticNet, triple: ChannelTriple,
-                 tokens: list[_Token]) -> None:
-    for k, (val, mx, tok) in enumerate(zip(triple, net.scale, tokens), start=1):
-        if not val.indeterminate and val.magnitude > mx:
-            raise ParseError(
-                cur.lineno, tok.col,
-                f"channel {k} degree {fmt_number(val.magnitude)} exceeds "
-                f"scale {fmt_number(mx)}", cur.line)
-
-
 def _parse_header(cur: _Cursor) -> SemanticNet:
     mode_tok = cur.take("word", "net mode")
     mode = _MODES.get(mode_tok.text)
     if mode is None:
         raise ParseError(cur.lineno, mode_tok.col,
                          f"unknown net mode {mode_tok.text!r} "
-                         "(expected fnsn, pnsn or pfnsn)", cur.line)
+                         "(expected fnsn, pnsn or pfnsn)")
     name = cur.take("quoted", "quoted net name").string
-    scale = None
-    if cur.accept_keyword("scale"):
-        components = []
-        for k in range(1, 4):
-            tok = cur.take("num", f"channel {k} scale")
-            problem = scale_error(k, tok.value)
-            if problem:
-                raise ParseError(cur.lineno, tok.col, problem, cur.line)
-            components.append(tok.value)
-        scale = tuple(components)
-    directed = not cur.accept_keyword("undirected")
-    if scale is None:
-        return SemanticNet(mode, name, directed=directed)
-    return SemanticNet(mode, name, scale, directed=directed)
+    if not cur.accept_keyword("scale"):
+        return SemanticNet(mode, name)
+    tokens = [cur.take("num", f"channel {k} scale") for k in range(1, 4)]
+    try:
+        return SemanticNet(mode, name, tuple(tok.value for tok in tokens))
+    except NetError as exc:
+        raise ParseError(cur.lineno, tokens[exc.channel - 1].col, str(exc)) from exc
+
+
+def _located(cur: _Cursor, exc: NetError, values: list[_Token],
+             label: _Token, dst: _Token | None = None) -> ParseError:
+    """Core's ``exc`` at the token it concerns: a channel's value, the
+    destination of a loop, else the vertex label or edge source."""
+    if exc.channel is not None:
+        tok = values[exc.channel - 1]
+    elif exc.kind == "loop":
+        tok = dst
+    else:
+        tok = label
+    return ParseError(cur.lineno, tok.col, str(exc))
 
 
 def _parse_vertex(cur: _Cursor, net: SemanticNet) -> None:
     ident = cur.take("word", "vertex label")
     triple, tokens = _parse_triple(cur)
     indeterminate = cur.accept_keyword("indeterminate")
-    if net.find_vertex(ident.text) is not None:
-        raise ParseError(cur.lineno, ident.col,
-                         f"duplicate vertex label {ident.text!r}", cur.line)
-    _check_range(cur, net, triple, tokens)
     try:
         net.add_vertex(ident.text, triple, indeterminate=indeterminate)
-    except NetError as exc:  # backstop; specific checks above give better columns
-        raise ParseError(cur.lineno, ident.col, str(exc), cur.line) from exc
+    except NetError as exc:
+        raise _located(cur, exc, tokens, ident) from exc
 
 
 def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
@@ -296,24 +279,16 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
     src = net.find_vertex(src_tok.text)
     if src is None:
         raise ParseError(cur.lineno, src_tok.col,
-                         f"unknown vertex {src_tok.text!r}", cur.line)
+                         f"unknown vertex {src_tok.text!r}")
     dst = net.find_vertex(dst_tok.text)
     if dst is None:
         raise ParseError(cur.lineno, dst_tok.col,
-                         f"unknown vertex {dst_tok.text!r}", cur.line)
-    if src.id == dst.id:
-        raise ParseError(cur.lineno, dst_tok.col,
-                         f"loop on vertex {src_tok.text!r} rejected", cur.line)
-    if net.has_edge(src.id, dst.id):
-        raise ParseError(cur.lineno, src_tok.col,
-                         f"duplicate edge {src_tok.text!r} -> {dst_tok.text!r}",
-                         cur.line)
-    _check_range(cur, net, triple, tokens)
+                         f"unknown vertex {dst_tok.text!r}")
     try:
         net.add_edge(src.id, dst.id, triple, label=label,
                      indeterminate=indeterminate)
     except NetError as exc:
-        raise ParseError(cur.lineno, src_tok.col, str(exc), cur.line) from exc
+        raise _located(cur, exc, tokens, src_tok, dst_tok) from exc
 
 
 def _value(text: str) -> NeutroValue:
@@ -383,11 +358,11 @@ def parse_net(source: str) -> SemanticNet:
         head = tokens[0]
         if net is None:
             if head.kind != "word" or head.text != "net":
-                raise ParseError(lineno, head.col, "net header expected", line)
+                raise ParseError(lineno, head.col, "net header expected")
             cur.pos += 1
             net = _parse_header(cur)
         elif head.kind == "word" and head.text == "net":
-            raise ParseError(lineno, head.col, "duplicate net header", line)
+            raise ParseError(lineno, head.col, "duplicate net header")
         elif head.kind == "word" and head.text == "vertex":
             cur.pos += 1
             _parse_vertex(cur, net)
@@ -397,11 +372,10 @@ def parse_net(source: str) -> SemanticNet:
         else:
             raise ParseError(lineno, head.col,
                              f"statement expected (vertex or edge), "
-                             f"found {head.text!r}", line)
+                             f"found {head.text!r}")
         cur.expect_end()
     if net is None:
-        raise ParseError(1, 1, "net header expected",
-                         lines[0] if lines else "")
+        raise ParseError(1, 1, "net header expected")
     return net
 
 
@@ -416,11 +390,8 @@ def format_net(net: SemanticNet) -> str:
     insertion order, numbers printed with minimal digits, empty edge labels
     omitted.
     """
-    header = (f"net {net.mode.value.lower()} {_quote(net.name)} scale "
-              + " ".join(fmt_number(s) for s in net.scale))
-    if not net.directed:
-        header += " undirected"
-    lines = [header]
+    lines = [f"net {net.mode.value.lower()} {_quote(net.name)} scale "
+             + " ".join(fmt_number(s) for s in net.scale)]
     for v in net.vertices:
         line = f"vertex {v.label} {v.membership}"
         if v.indeterminate:

@@ -10,10 +10,11 @@ output)::
                       "weight": [ {"d": 2.4}, {"d": 0.0}, {"d": 0.0} ] } ] }
 
 A channel entry is ``{"d": x}`` for a determinate degree or ``{"i": n}``
-for the indeterminacy n*I.  Undirected nets additionally carry
-``"directed": false`` after the scale.  Documents are untrusted on input:
-every structural invariant is re-checked, and problems are reported with a
-JSON path like ``$.edges[0].src``.
+for the indeterminacy n*I.  Nets are directed, so ``"directed": false`` is
+rejected.  Documents are untrusted on input.  The loader checks the schema
+and resolves vertex ids; core checks every net invariant, and its error is
+reported at the JSON path it concerns, like ``$.edges[0].weight[1]``, with
+the same message as the ``.pnet`` parser gives.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ import math
 from typing import Any
 
 from .analysis import normalize
-from .core import (NetError, NetMode, NeutroValue, SemanticNet, is_valid_label,
-                   scale_error)
+from .core import NetError, NetMode, NeutroValue, SemanticNet
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
 
@@ -49,28 +49,26 @@ def to_json(net: SemanticNet) -> str:
         "mode": net.mode.value,
         "name": net.name,
         "scale": list(net.scale),
+        "vertices": [
+            {
+                "id": v.id,
+                "label": v.label,
+                "indeterminate": v.indeterminate,
+                "membership": [_encode_value(x) for x in v.membership],
+            }
+            for v in net.vertices
+        ],
+        "edges": [
+            {
+                "src": e.src,
+                "dst": e.dst,
+                "label": e.label,
+                "indeterminate": e.indeterminate,
+                "weight": [_encode_value(x) for x in e.weight],
+            }
+            for e in net.edges
+        ],
     }
-    if not net.directed:
-        doc["directed"] = False
-    doc["vertices"] = [
-        {
-            "id": v.id,
-            "label": v.label,
-            "indeterminate": v.indeterminate,
-            "membership": [_encode_value(x) for x in v.membership],
-        }
-        for v in net.vertices
-    ]
-    doc["edges"] = [
-        {
-            "src": e.src,
-            "dst": e.dst,
-            "label": e.label,
-            "indeterminate": e.indeterminate,
-            "weight": [_encode_value(x) for x in e.weight],
-        }
-        for e in net.edges
-    ]
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -169,17 +167,14 @@ def from_json(text: str) -> SemanticNet:
     scale_arr = _array(_get(root, "scale", "$"), "$.scale")
     if len(scale_arr) != 3:
         raise SchemaError("$.scale", f"3 components expected, got {len(scale_arr)}")
-    scale = []
-    for k, component in enumerate(scale_arr):
-        value = _number(component, f"$.scale[{k}]")
-        problem = scale_error(k + 1, value)
-        if problem:
-            raise SchemaError(f"$.scale[{k}]", problem)
-        scale.append(value)
-    directed = True
-    if "directed" in root:
-        directed = _boolean(root["directed"], "$.directed")
-    net = SemanticNet(mode, name, tuple(scale), directed=directed)
+    scale = tuple(_number(component, f"$.scale[{k}]")
+                  for k, component in enumerate(scale_arr))
+    try:
+        net = SemanticNet(mode, name, scale)
+    except NetError as exc:
+        raise _located(exc, "$", "scale") from exc
+    if root.get("directed", True) is not True:
+        raise SchemaError("$.directed", "only directed nets are supported")
 
     id_map: dict[int, int] = {}
     for i, item in enumerate(_array(_get(root, "vertices", "$"), "$.vertices")):
@@ -189,21 +184,15 @@ def from_json(text: str) -> SemanticNet:
         if ext_id in id_map:
             raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
         label = _string(_get(obj, "label", path), f"{path}.label")
-        if not is_valid_label(label):
-            raise SchemaError(f"{path}.label",
-                              f"label {label!r} is not an identifier")
         indeterminate = _boolean(obj.get("indeterminate", False),
                                  f"{path}.indeterminate")
         triple = _decode_triple(_get(obj, "membership", path),
                                 f"{path}.membership")
-        _check_range(net, triple, f"{path}.membership")
-        if net.find_vertex(label) is not None:
-            raise SchemaError(f"{path}.label", f"duplicate vertex label {label!r}")
         try:
             id_map[ext_id] = net.add_vertex(label, tuple(triple),
                                             indeterminate=indeterminate)
         except NetError as exc:
-            raise SchemaError(path, str(exc)) from exc
+            raise _located(exc, path, "membership") from exc
 
     for i, item in enumerate(_array(_get(root, "edges", "$"), "$.edges")):
         path = f"$.edges[{i}]"
@@ -214,29 +203,27 @@ def from_json(text: str) -> SemanticNet:
         dst = _integer(_get(obj, "dst", path), f"{path}.dst")
         if dst not in id_map:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        if id_map[src] == id_map[dst]:
-            raise SchemaError(path, f"loop on vertex id {src} rejected")
-        if net.has_edge(id_map[src], id_map[dst]):
-            raise SchemaError(path, f"duplicate edge {src} -> {dst}")
         label = _string(obj.get("label", ""), f"{path}.label")
         indeterminate = _boolean(obj.get("indeterminate", False),
                                  f"{path}.indeterminate")
         triple = _decode_triple(_get(obj, "weight", path), f"{path}.weight")
-        _check_range(net, triple, f"{path}.weight")
         try:
             net.add_edge(id_map[src], id_map[dst], tuple(triple), label=label,
                          indeterminate=indeterminate)
         except NetError as exc:
-            raise SchemaError(path, str(exc)) from exc
+            raise _located(exc, path, "weight") from exc
     return net
 
 
-def _check_range(net: SemanticNet, triple: list[NeutroValue], path: str) -> None:
-    for k, (value, mx) in enumerate(zip(triple, net.scale)):
-        if not value.indeterminate and value.magnitude > mx:
-            raise SchemaError(f"{path}[{k}]",
-                              f"degree {value.magnitude!r} exceeds "
-                              f"channel scale {mx!r}")
+def _located(exc: NetError, path: str, triple_key: str) -> SchemaError:
+    """Core's ``exc`` at the path it concerns: the channel entry under
+    ``triple_key`` (a scale, membership or weight), the vertex label, else
+    the vertex or edge itself."""
+    if exc.channel is not None:
+        path = f"{path}.{triple_key}[{exc.channel - 1}]"
+    elif exc.kind in ("label", "duplicate label"):
+        path = f"{path}.label"
+    return SchemaError(path, str(exc))
 
 
 def _dot_escape(text: str) -> str:
@@ -251,9 +238,8 @@ def to_dot(net: SemanticNet) -> str:
     indeterminate vertices are dotted and prefixed N_1, N_2, ...  Edges show
     the relation word and raw degree triple; indeterminate edges are dotted.
     """
-    keyword, arrow = ("digraph", "->") if net.directed else ("graph", "--")
-    out = [f'{keyword} {{'] if not net.name else [
-        f'{keyword} "{_dot_escape(net.name)}" {{']
+    out = ["digraph {"] if not net.name else [
+        f'digraph "{_dot_escape(net.name)}" {{']
     indeterminate_count = 0
     for v in net.vertices:
         norm = normalize(v.membership, net.scale)
@@ -272,7 +258,7 @@ def to_dot(net: SemanticNet) -> str:
         attrs = [f'label="{text}"']
         if e.indeterminate:
             attrs.append("style=dotted")
-        out.append(f'  "{_dot_escape(labels[e.src])}" {arrow} '
+        out.append(f'  "{_dot_escape(labels[e.src])}" -> '
                    f'"{_dot_escape(labels[e.dst])}" [{", ".join(attrs)}];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -79,8 +79,7 @@ def scaled_copy(net: SemanticNet, factor: float) -> SemanticNet:
             for v in triple))
 
     scaled = SemanticNet(net.mode, net.name,
-                         tuple(s * factor for s in net.scale),
-                         directed=net.directed)
+                         tuple(s * factor for s in net.scale))
     for v in net.vertices:
         scaled.add_vertex(v.label, scale_triple(v.membership),
                           indeterminate=v.indeterminate)
@@ -105,14 +104,12 @@ def scales_exactly(net: SemanticNet, factor: float) -> bool:
 @st.composite
 def nets(draw, modes: list[NetMode] | None = None, max_vertices: int = 6,
          allow_zero_weight_edges: bool = False, derived_flags: bool = False,
-         indeterminate_ok: bool = True, allow_undirected: bool = True,
-         min_vertices: int = 0) -> SemanticNet:
+         indeterminate_ok: bool = True, min_vertices: int = 0) -> SemanticNet:
     """A valid net built through the checked constructors."""
     mode = draw(st.sampled_from(modes if modes is not None else list(NetMode)))
     crisp = mode is NetMode.PNSN
     scale = draw(scales)
-    directed = draw(st.booleans()) if allow_undirected else True
-    net = SemanticNet(mode, draw(texts), scale, directed=directed)
+    net = SemanticNet(mode, draw(texts), scale)
     for label in draw(st.lists(labels, unique=True, min_size=min_vertices,
                                max_size=max_vertices)):
         membership = draw(triples(scale, crisp, indeterminate_ok))

@@ -195,7 +195,7 @@ def _json_roundtrip(net):
 
 
 @heavy
-@given(nets(allow_undirected=False, allow_zero_weight_edges=False))
+@given(nets(allow_zero_weight_edges=False))
 def _matrices_roundtrip(net):
     rebuilt = from_matrices(net.mode, net.name, net.scale,
                             membership_matrix(net), adjacency_tensor(net))

@@ -145,6 +145,12 @@ class TestValidate:
         messages = [v.message for v in net.validate()]
         assert any("outside (0, 1]" in m for m in messages)
 
+    def test_out_of_range_degree_reported(self):
+        net = SemanticNet(NetMode.FNSN, "x",
+                          vertices=[Vertex(0, "a", ChannelTriple.of(0, 5, 0))])
+        assert [v.message for v in net.validate()] == [
+            "vertex 'a': channel 2 degree 5 exceeds scale 2"]
+
     def test_zero_weight_edge_is_a_warning(self):
         net = SemanticNet(NetMode.FNSN, "x")
         a = net.add_vertex("a", (1, 0, 0))

@@ -47,9 +47,11 @@ class TestParseBasics:
         assert vertex.membership.c1 == NeutroValue.indeterminacy(1.0)
         assert vertex.membership.c2 == NeutroValue.indeterminacy(0.5)
 
-    def test_undirected_header(self):
-        net = parse_net('net fnsn "x" scale 3 2 1 undirected')
-        assert not net.directed
+    def test_header_rejects_undirected(self):
+        with pytest.raises(ParseError) as info:
+            parse_net('net fnsn "x" scale 3 2 1 undirected')
+        assert (info.value.line, info.value.column) == (1, 26)
+        assert info.value.message == "unexpected trailing token 'undirected'"
 
     def test_edge_without_label(self):
         net = parse_net('net fnsn "x"\nvertex a (0,0,0)\nvertex b (0,0,0)\n'
@@ -88,6 +90,16 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse_net(source)
         assert info.value.line == line
+        assert message_part in info.value.message
+
+    @pytest.mark.parametrize("value,message_part", [
+        ("\u0663", "unexpected character"),  # ARABIC-INDIC DIGIT THREE
+        ("1\u0663", "malformed number"),
+    ])
+    def test_non_ascii_digits_rejected(self, value, message_part):
+        with pytest.raises(ParseError) as info:
+            parse_net(f'net fnsn "x"\nvertex a ({value}, 0, 0)')
+        assert (info.value.line, info.value.column) == (2, 11)
         assert message_part in info.value.message
 
     def test_error_column_points_at_offending_token(self):

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from polarnet import fixtures
 from polarnet.core import NetMode, SemanticNet
+from polarnet.dsl import ParseError, parse_net
 from polarnet.io import SchemaError, from_json, to_dot, to_json
 from polarnet.matrix import adjacency_tensor
 
@@ -126,6 +127,13 @@ class TestFromJson:
             from_json(json.dumps(doc))
         assert info.value.path == path
 
+    def test_undirected_document_rejected(self, s1_net):
+        doc = json.loads(to_json(s1_net))
+        doc["directed"] = False
+        with pytest.raises(SchemaError) as info:
+            from_json(json.dumps(doc))
+        assert info.value.path == "$.directed"
+
     def test_duplicate_vertex_id_rejected(self, s1_net):
         doc = json.loads(to_json(s1_net))
         doc["vertices"][1]["id"] = 0
@@ -149,7 +157,6 @@ class TestFromJson:
                "edges": []}
         net = from_json(json.dumps(doc))
         assert not net.vertices[0].indeterminate
-        assert net.directed
 
 
 class TestToDot:
@@ -187,15 +194,6 @@ class TestToDot:
         assert dot == 'digraph "x" {\n}\n'
         check_dot_well_formed(dot)
 
-    def test_undirected_net_uses_graph_syntax(self):
-        net = SemanticNet(NetMode.FNSN, "x", directed=False)
-        a = net.add_vertex("a", (0, 0, 0))
-        b = net.add_vertex("b", (0, 0, 0))
-        net.add_edge(a, b, (1, 0, 0))
-        dot = to_dot(net)
-        assert dot.startswith("graph ")
-        assert '"a" -- "b"' in dot
-
     def test_deterministic_for_equal_nets(self):
         assert to_dot(fixtures.s3()) == to_dot(fixtures.s3())
 
@@ -226,6 +224,58 @@ def test_non_finite_numbers_report_paths(s1_net, mutate, path):
         from_json(text)
     assert info.value.path == path
     assert "finite" in info.value.message
+
+
+def _both_formats(vertices, edges):
+    """One small FNSN net as ``.pnet`` text and as a JSON document, written
+    from value texts such as "9.9", "2I" or "1e999" that may be invalid."""
+    def entry(text):
+        return {"i": float(text[:-1])} if text.endswith("I") else {"d": float(text)}
+    ids = {label: i for i, (label, _) in enumerate(vertices)}
+    pnet = ['net fnsn "x" scale 3 2 1']
+    pnet += [f"vertex {label} ({', '.join(values)})" for label, values in vertices]
+    pnet += [f"edge {src} -> {dst} ({', '.join(values)})"
+             for src, dst, values in edges]
+    doc = {"mode": "FNSN", "name": "x", "scale": [3, 2, 1],
+           "vertices": [{"id": i, "label": label,
+                         "membership": [entry(v) for v in values]}
+                        for i, (label, values) in enumerate(vertices)],
+           "edges": [{"src": ids[src], "dst": ids[dst],
+                      "weight": [entry(v) for v in values]}
+                     for src, dst, values in edges]}
+    return "\n".join(pnet) + "\n", json.dumps(doc)
+
+
+_ZERO = ("0", "0", "0")
+
+
+@pytest.mark.parametrize("vertices,edges,line,column,path,message", [
+    ([("a", _ZERO), ("b", ("0", "9.9", "0"))], [], 3, 14,
+     "$.vertices[1].membership[1]", "channel 2 degree 9.9 exceeds scale 2"),
+    ([("a", _ZERO), ("b", ("0", "0", "2I"))], [], 3, 17,
+     "$.vertices[1].membership[2]",
+     "indeterminacy coefficient 2.0 outside (0, 1]"),
+    ([("a", _ZERO), ("b", _ZERO)], [("a", "b", ("1e999", "0", "0"))], 4, 14,
+     "$.edges[0].weight[0]",
+     "determinate degree inf is not a finite nonnegative real"),
+    ([("a", _ZERO), ("a", _ZERO)], [], 3, 8,
+     "$.vertices[1].label", "duplicate vertex label 'a'"),
+    ([("a", _ZERO), ("b", _ZERO)], [("a", "a", _ZERO)], 4, 11,
+     "$.edges[0]", "loop on vertex 'a' rejected"),
+    ([("a", _ZERO), ("b", _ZERO)], [("a", "b", _ZERO), ("a", "b", _ZERO)], 5, 6,
+     "$.edges[1]", "duplicate edge 'a' -> 'b'"),
+], ids=["range", "coefficient", "non-finite", "duplicate-label", "loop",
+        "duplicate-edge"])
+def test_both_formats_word_an_invariant_error_alike(vertices, edges, line,
+                                                    column, path, message):
+    pnet, document = _both_formats(vertices, edges)
+    with pytest.raises(ParseError) as parsed:
+        parse_net(pnet)
+    with pytest.raises(SchemaError) as loaded:
+        from_json(document)
+    assert (parsed.value.line, parsed.value.column) == (line, column)
+    assert loaded.value.path == path
+    assert parsed.value.message == loaded.value.message == message
 
 
 def test_to_json_never_writes_non_finite_numbers():

@@ -114,7 +114,7 @@ class TestFromMatrices:
         assert net.edges[0].indeterminate
 
 
-@given(nets(allow_undirected=False))
+@given(nets())
 def test_extraction_is_non_mutating(net):
     snapshot = copy.deepcopy(net)
     first = (membership_matrix(net), adjacency_tensor(net))
@@ -139,8 +139,7 @@ def test_tensor_sparsity_matches_edge_count(net):
     assert len(nonzero_positions) == len(net.edges)
 
 
-@given(nets(derived_flags=True, allow_undirected=False,
-            allow_zero_weight_edges=False))
+@given(nets(derived_flags=True, allow_zero_weight_edges=False))
 def test_matrices_roundtrip_up_to_edge_labels(net):
     rebuilt = from_matrices(net.mode, net.name, net.scale,
                             membership_matrix(net), adjacency_tensor(net))
@@ -152,7 +151,7 @@ def test_matrices_roundtrip_up_to_edge_labels(net):
         (net.mode, net.name, net.scale)
 
 
-@given(nets(allow_undirected=False, allow_zero_weight_edges=False))
+@given(nets(allow_zero_weight_edges=False))
 def test_matrices_roundtrip_preserves_structure_and_weights(net):
     rebuilt = from_matrices(net.mode, net.name, net.scale,
                             membership_matrix(net), adjacency_tensor(net))
