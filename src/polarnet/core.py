@@ -261,6 +261,24 @@ def entry_problem(k: int | None, value: NeutroValue, mx: float = math.inf,
     return NetError(text, kind, k)
 
 
+_STRUCTURE_TEXT = {
+    "label": "label {!r} must be an identifier "
+             "(letters, digits, underscore; not starting with a digit)",
+    "duplicate label": "duplicate vertex label {!r}",
+    "loop": "loop on vertex {!r} rejected",
+    "duplicate edge": "duplicate edge {!r} -> {!r}",
+}
+
+
+def _structure_error(kind: str, *labels: object) -> NetError:
+    """The ``kind`` label, loop or duplicate problem, worded for its labels.
+
+    Construction raises it and ``validate`` reports its text, so both say
+    the same thing about the same fault.
+    """
+    return NetError(_STRUCTURE_TEXT[kind].format(*labels), kind)
+
+
 def scale_error(k: int, value: float) -> NetError | None:
     """Why ``value`` cannot be the channel ``k`` scale maximum, or None."""
     if 0.0 < value < math.inf:
@@ -319,12 +337,9 @@ class SemanticNet:
                    indeterminate: bool = False) -> int:
         """Append a vertex and return its id (the insertion index)."""
         if not is_valid_label(label):
-            raise NetError(
-                f"label {label!r} must be an identifier "
-                "(letters, digits, underscore; not starting with a digit)",
-                "label")
+            raise _structure_error("label", label)
         if self.find_vertex(label) is not None:
-            raise NetError(f"duplicate vertex label {label!r}", "duplicate label")
+            raise _structure_error("duplicate label", label)
         triple = self._in_scale(membership)
         vid = len(self.vertices)
         self.vertices.append(Vertex(vid, label, triple, bool(indeterminate)))
@@ -336,10 +351,9 @@ class SemanticNet:
         source = self.vertex(src)
         target = self.vertex(dst)
         if src == dst:
-            raise NetError(f"loop on vertex {source.label!r} rejected", "loop")
+            raise _structure_error("loop", source.label)
         if self.has_edge(src, dst):
-            raise NetError(f"duplicate edge {source.label!r} -> {target.label!r}",
-                           "duplicate edge")
+            raise _structure_error("duplicate edge", source.label, target.label)
         edge = Edge(src, dst, self._in_scale(weight), label, bool(indeterminate))
         self.edges.append(edge)
         return edge
@@ -388,10 +402,10 @@ class SemanticNet:
         seen_labels: set[str] = set()
         for pos, v in enumerate(self.vertices):
             if not is_valid_label(v.label):
-                out.append(Violation(
-                    f"vertex label {v.label!r} is not an identifier"))
+                out.append(Violation(str(_structure_error("label", v.label))))
             if v.label in seen_labels:
-                out.append(Violation(f"duplicate vertex label {v.label!r}"))
+                out.append(Violation(
+                    str(_structure_error("duplicate label", v.label))))
             seen_labels.add(v.label)
             if v.id != pos:
                 out.append(Violation(
@@ -405,9 +419,12 @@ class SemanticNet:
                 out.append(Violation(f"{where} references a missing vertex"))
                 continue
             if e.src == e.dst:
-                out.append(Violation(f"{where} is a loop"))
+                out.append(Violation(str(_structure_error(
+                    "loop", self.vertices[e.src].label))))
             if (e.src, e.dst) in seen_pairs:
-                out.append(Violation(f"duplicate {where}"))
+                out.append(Violation(str(_structure_error(
+                    "duplicate edge", self.vertices[e.src].label,
+                    self.vertices[e.dst].label))))
             seen_pairs.add((e.src, e.dst))
             out.extend(self._entry_violations(where, e.weight))
             if e.weight.is_zero:

@@ -73,6 +73,11 @@ class ParseError(Exception):
         self.column = column
         self.message = message
 
+    def __reduce__(self):
+        # Exception pickles only the formatted text, which __init__ cannot
+        # take back; rebuild from the fields so the error crosses processes.
+        return type(self), (self.line, self.column, self.message)
+
 
 @dataclass(frozen=True)
 class _Token:

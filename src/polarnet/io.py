@@ -36,6 +36,11 @@ class SchemaError(ValueError):
         self.path = path
         self.message = message
 
+    def __reduce__(self):
+        # Exception pickles only the formatted text, which __init__ cannot
+        # take back; rebuild from the fields so the error crosses processes.
+        return type(self), (self.path, self.message)
+
 
 def _encode_value(value: NeutroValue) -> dict[str, float]:
     if value.indeterminate:

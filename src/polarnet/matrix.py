@@ -2,14 +2,20 @@
 
 The membership matrix mirrors vertex memberships row by row in insertion
 order.  The adjacency tensor stacks three |V| x |V| slices, one per channel;
-rows index edge sources, columns destinations.  Both are plain nested tuples
-of ``NeutroValue`` so extraction is non-mutating and results are comparable.
+rows index edge sources, columns destinations.  It stores only its nonzero
+entries, so extraction and reconstruction take O(V + E) time and memory;
+``AdjacencyTensor.slices`` reads it densely, building a row of ``NeutroValue``
+only when that row is indexed.  Both results are immutable and comparable,
+so extraction is non-mutating.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
-from .core import ChannelTriple, NetMode, NetError, NeutroValue, SemanticNet
+from .core import ChannelTriple, Edge, NetMode, NetError, NeutroValue, SemanticNet
 
 __all__ = [
     "MembershipMatrix",
@@ -20,6 +26,9 @@ __all__ = [
 ]
 
 _ZERO = NeutroValue.determinate(0.0)
+_ZERO_TRIPLE = ChannelTriple(_ZERO, _ZERO, _ZERO)
+_CHANNELS = (attrgetter("c1"), attrgetter("c2"), attrgetter("c3"))
+_column = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -38,24 +47,79 @@ class MembershipMatrix:
 
 @dataclass(frozen=True)
 class AdjacencyTensor:
-    """Three |V| x |V| slices of edge weights; slices[k][src][dst]."""
+    """Three |V| x |V| slices of edge weights, stored by nonzero entries.
+
+    ``entries[i]`` holds the ``(j, triple)`` pairs of source row ``i`` whose
+    triple is not all-zero, in increasing column ``j``.  ``slices[k][i][j]``
+    and ``triple(i, j)`` read the same tensor cell by cell.
+    """
 
     labels: tuple[str, ...]
-    slices: tuple[tuple[tuple[NeutroValue, ...], ...], ...]
+    entries: tuple[tuple[tuple[int, ChannelTriple], ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.slices) != 3:
-            raise NetError(f"adjacency tensor needs 3 slices, got {len(self.slices)}")
-        for k, sl in enumerate(self.slices, start=1):
+        if len(self.labels) != len(self.entries):
+            raise NetError(
+                f"adjacency tensor has {len(self.labels)} labels "
+                f"but {len(self.entries)} rows")
+
+    @classmethod
+    def from_slices(cls, labels: Sequence[str],
+                    slices: Sequence[Sequence[Sequence[NeutroValue]]]
+                    ) -> AdjacencyTensor:
+        """The tensor whose dense slices are ``slices[k][src][dst]``."""
+        n = len(labels)
+        if len(slices) != 3:
+            raise NetError(f"adjacency tensor needs 3 slices, got {len(slices)}")
+        for k, sl in enumerate(slices, start=1):
             if len(sl) != n or any(len(row) != n for row in sl):
                 raise NetError(f"slice {k} is not {n} x {n}")
+        entries = tuple(
+            tuple((j, ChannelTriple(c1, c2, c3))
+                  for j, (c1, c2, c3) in enumerate(zip(*rows))
+                  if not (c1.is_zero and c2.is_zero and c3.is_zero))
+            for rows in zip(*slices))
+        return cls(tuple(labels), entries)
 
     def triple(self, i: int, j: int) -> ChannelTriple:
-        """The (i, j) entry assembled across the three slices."""
-        return ChannelTriple(self.slices[0][i][j],
-                             self.slices[1][i][j],
-                             self.slices[2][i][j])
+        """The (i, j) entry: the stored triple, or the shared zero triple."""
+        n = len(self.labels)
+        if not (0 <= i < n and 0 <= j < n):
+            raise NetError(f"tensor position ({i}, {j}) outside [0, {n})")
+        row = self.entries[i]
+        at = bisect_left(row, j, key=_column)
+        if at < len(row) and row[at][0] == j:
+            return row[at][1]
+        return _ZERO_TRIPLE
+
+    @property
+    def slices(self) -> tuple[_DenseSlice, _DenseSlice, _DenseSlice]:
+        """Read-only dense view: ``slices[k][i][j]`` is channel k+1 of (i, j).
+
+        A slice's length is |V| in O(1); indexing a row builds its |V| values.
+        """
+        return tuple(_DenseSlice(self, channel) for channel in _CHANNELS)
+
+
+class _DenseSlice(Sequence):
+    """One channel of an adjacency tensor as |V| rows of |V| values."""
+
+    __slots__ = ("_tensor", "_channel")
+
+    def __init__(self, tensor: AdjacencyTensor,
+                 channel: Callable[[ChannelTriple], NeutroValue]):
+        self._tensor = tensor
+        self._channel = channel
+
+    def __len__(self) -> int:
+        return len(self._tensor.labels)
+
+    def __getitem__(self, i: int) -> tuple[NeutroValue, ...]:
+        entries = self._tensor.entries[i]
+        row = [_ZERO] * len(self)
+        for j, triple in entries:
+            row[j] = self._channel(triple)
+        return tuple(row)
 
 
 def membership_matrix(net: SemanticNet) -> MembershipMatrix:
@@ -67,29 +131,42 @@ def membership_matrix(net: SemanticNet) -> MembershipMatrix:
 
 
 def adjacency_tensor(net: SemanticNet) -> AdjacencyTensor:
-    """Extract the 3-slice adjacency tensor of ``net``."""
-    index = {v.id: pos for pos, v in enumerate(net.vertices)}
+    """Extract the 3-slice adjacency tensor of ``net``; O(V + E).
+
+    Edges with a nonzero weight are bucketed by destination, and the buckets
+    are then read in column order, so every row comes out sorted without a
+    comparison sort.
+    """
     n = len(net.vertices)
-    grids = [[[_ZERO] * n for _ in range(n)] for _ in range(3)]
+    columns: list[list[Edge]] = [[] for _ in range(n)]
     for e in net.edges:
-        i, j = index[e.src], index[e.dst]
-        for k, val in enumerate(e.weight):
-            grids[k][i][j] = val
+        if not (0 <= e.src < n and 0 <= e.dst < n):
+            raise NetError(
+                f"edge {e.src} -> {e.dst} references a missing vertex")
+        w = e.weight
+        # An indeterminacy's coefficient is positive, so an entry is zero
+        # exactly when its magnitude is.
+        if w.c1.magnitude or w.c2.magnitude or w.c3.magnitude:
+            columns[e.dst].append(e)
+    rows: list[list[tuple[int, ChannelTriple]]] = [[] for _ in range(n)]
+    for j, column in enumerate(columns):
+        for e in column:
+            rows[e.src].append((j, e.weight))
     return AdjacencyTensor(
         labels=tuple(v.label for v in net.vertices),
-        slices=tuple(tuple(tuple(row) for row in grid) for grid in grids),
+        entries=tuple(map(tuple, rows)),
     )
 
 
 def from_matrices(mode: NetMode, name: str, scale: tuple[float, float, float],
                   membership: MembershipMatrix,
                   tensor: AdjacencyTensor) -> SemanticNet:
-    """Rebuild a net from its extracted matrices.
+    """Rebuild a net from its extracted matrices; O(V + E).
 
-    One vertex per membership row and one edge per (i, j) whose channel
-    triple is not all-zero.  The tensor carries no relation words, so edge
-    labels come back empty; indeterminate flags are set wherever a triple
-    contains an indeterminacy entry.
+    One vertex per membership row and one edge per stored tensor entry, in
+    row-major order.  The tensor carries no relation words, so edge labels
+    come back empty; indeterminate flags are set wherever a triple contains
+    an indeterminacy entry.
     """
     if membership.labels != tensor.labels:
         raise NetError(
@@ -98,10 +175,7 @@ def from_matrices(mode: NetMode, name: str, scale: tuple[float, float, float],
     net = SemanticNet(mode, name, scale)
     for label, row in zip(membership.labels, membership.rows):
         net.add_vertex(label, row, indeterminate=row.has_indeterminate)
-    for i, rows in enumerate(zip(*tensor.slices)):
-        for j, (c1, c2, c3) in enumerate(zip(*rows)):
-            if c1.is_zero and c2.is_zero and c3.is_zero:
-                continue
-            triple = ChannelTriple(c1, c2, c3)
+    for i, row in enumerate(tensor.entries):
+        for j, triple in row:
             net.add_edge(i, j, triple, indeterminate=triple.has_indeterminate)
     return net

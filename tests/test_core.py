@@ -166,6 +166,30 @@ class TestValidate:
         net.edges.append(Edge(a, 9, ChannelTriple.zero()))
         assert any("missing vertex" in v.message for v in net.validate())
 
+    @pytest.mark.parametrize("append,construct", [
+        (lambda net, w: net.vertices.append(Vertex(2, "not a word", w)),
+         lambda net, w: net.add_vertex("not a word", w)),
+        (lambda net, w: net.vertices.append(Vertex(2, "a", w)),
+         lambda net, w: net.add_vertex("a", w)),
+        (lambda net, w: net.edges.append(Edge(0, 0, w)),
+         lambda net, w: net.add_edge(0, 0, w)),
+        (lambda net, w: net.edges.append(Edge(0, 1, w)),
+         lambda net, w: net.add_edge(0, 1, w)),
+    ], ids=["label", "duplicate-label", "loop", "duplicate-edge"])
+    def test_structural_findings_word_construction_errors(self, append,
+                                                          construct):
+        weight = ChannelTriple.of(1, 0, 0)
+        built = SemanticNet(NetMode.FNSN, "x")
+        built.add_vertex("a", weight)
+        built.add_vertex("b", weight)
+        built.add_edge(0, 1, weight)
+        raw = SemanticNet(NetMode.FNSN, "x", vertices=list(built.vertices),
+                          edges=list(built.edges))
+        append(raw, weight)
+        with pytest.raises(NetError) as info:
+            construct(built, weight)
+        assert [v.message for v in raw.validate()] == [str(info.value)]
+
 
 class TestClassify:
     def test_fixtures_have_no_indeterminate_elements(self, s1_net, s2_net, s3_net):

@@ -1,11 +1,12 @@
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 
 from polarnet import fixtures
-from polarnet.core import NetMode, SemanticNet
+from polarnet.core import NetError, NetMode, SemanticNet
 from polarnet.dsl import ParseError, parse_net
 from polarnet.io import SchemaError, from_json, to_dot, to_json
 from polarnet.matrix import adjacency_tensor
@@ -276,6 +277,22 @@ def test_both_formats_word_an_invariant_error_alike(vertices, edges, line,
     assert (parsed.value.line, parsed.value.column) == (line, column)
     assert loaded.value.path == path
     assert parsed.value.message == loaded.value.message == message
+
+
+@pytest.mark.parametrize("error,fields", [
+    (ParseError(3, 14, "channel 2 degree 9.9 exceeds scale 2"),
+     {"line": 3, "column": 14,
+      "message": "channel 2 degree 9.9 exceeds scale 2"}),
+    (SchemaError("$.edges[1]", "duplicate edge 'a' -> 'b'"),
+     {"path": "$.edges[1]", "message": "duplicate edge 'a' -> 'b'"}),
+    (NetError("channel 2 degree 9.9 exceeds scale 2", "range", 2),
+     {"kind": "range", "channel": 2}),
+], ids=["ParseError", "SchemaError", "NetError"])
+def test_load_errors_survive_pickling(error, fields):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert {name: getattr(copy, name) for name in fields} == fields
+    assert str(copy) == str(error)
 
 
 def test_to_json_never_writes_non_finite_numbers():

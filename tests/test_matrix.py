@@ -4,7 +4,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given
 
-from polarnet.core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
+from polarnet.core import (
+    ChannelTriple,
+    Edge,
+    NetError,
+    NetMode,
+    NeutroValue,
+    SemanticNet,
+)
 from polarnet.matrix import (
     AdjacencyTensor,
     MembershipMatrix,
@@ -67,9 +74,18 @@ class TestAdjacencyTensor:
         assert all(v is Z or v.is_zero
                    for sl in tensor.slices for row in sl for v in row)
 
+    @pytest.mark.parametrize("src,dst", [(0, -1), (-1, 0), (0, 2)])
+    def test_edge_to_missing_vertex_rejected(self, src, dst):
+        net = SemanticNet(NetMode.FNSN, "x")
+        net.add_vertex("a", (1, 0, 0))
+        net.add_vertex("b", (1, 0, 0))
+        net.edges.append(Edge(src, dst, t(1, 0, 0)))
+        with pytest.raises(NetError, match="missing vertex"):
+            adjacency_tensor(net)
+
     def test_slices_must_be_square(self):
         with pytest.raises(NetError, match="slice"):
-            AdjacencyTensor(("a", "b"), (((Z,),), ((Z,),), ((Z,),)))
+            AdjacencyTensor.from_slices(("a", "b"), (((Z,),), ((Z,),), ((Z,),)))
 
 
 class TestFromMatrices:
@@ -89,7 +105,7 @@ class TestFromMatrices:
     def test_empty_matrices_give_empty_net(self):
         net = from_matrices(NetMode.FNSN, "x", (3, 2, 1),
                             MembershipMatrix((), ()),
-                            AdjacencyTensor((), ((), (), ())))
+                            AdjacencyTensor.from_slices((), ((), (), ())))
         assert net.vertices == [] and net.edges == []
 
     def test_dimension_mismatch_rejected(self):
@@ -97,8 +113,8 @@ class TestFromMatrices:
             ("a", "b", "c", "d"),
             (t(0, 0, 0), t(0, 0, 0), t(0, 0, 0), t(0, 0, 0)))
         row3 = (Z, Z, Z)
-        tensor3 = AdjacencyTensor(("a", "b", "c"),
-                                  tuple((row3, row3, row3) for _ in range(3)))
+        tensor3 = AdjacencyTensor.from_slices(
+            ("a", "b", "c"), tuple((row3, row3, row3) for _ in range(3)))
         with pytest.raises(NetError, match="mismatch"):
             from_matrices(NetMode.FNSN, "x", (3, 2, 1), membership, tensor3)
 
@@ -108,7 +124,7 @@ class TestFromMatrices:
             ("a", "b"), (ChannelTriple(half_i, Z, Z), t(1, 0, 0)))
         slice1 = ((Z, half_i), (Z, Z))
         zero = ((Z, Z), (Z, Z))
-        tensor = AdjacencyTensor(("a", "b"), (slice1, zero, zero))
+        tensor = AdjacencyTensor.from_slices(("a", "b"), (slice1, zero, zero))
         net = from_matrices(NetMode.FNSN, "x", (3, 2, 1), membership, tensor)
         assert net.vertices[0].indeterminate and not net.vertices[1].indeterminate
         assert net.edges[0].indeterminate
@@ -160,3 +176,21 @@ def test_matrices_roundtrip_preserves_structure_and_weights(net):
         [v.membership for v in net.vertices]
     assert {(e.src, e.dst): e.weight for e in rebuilt.edges} == \
         {(e.src, e.dst): e.weight for e in net.edges}
+
+
+@given(nets(allow_zero_weight_edges=True))
+def test_dense_view_agrees_with_sparse_store(net):
+    tensor = adjacency_tensor(net)
+    n = len(tensor.labels)
+    assert AdjacencyTensor.from_slices(tensor.labels, tensor.slices) == tensor
+    slices = tensor.slices
+    assert len(slices) == 3
+    assert all(len(sl) == n and all(len(row) == n for row in sl)
+               for sl in slices)
+    for i in range(n):
+        for j in range(n):
+            assert tensor.triple(i, j) == ChannelTriple(
+                slices[0][i][j], slices[1][i][j], slices[2][i][j])
+    for i in (-1, n):
+        with pytest.raises(NetError, match="outside"):
+            tensor.triple(i, 0)

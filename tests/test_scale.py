@@ -1,12 +1,14 @@
 """Round trips of a net far larger than the Hypothesis nets.
 
-Correctness only: no timing is asserted.
+Correctness and a memory bound only: no timing is asserted.
 """
 import random
+import tracemalloc
 
 from polarnet.core import ChannelTriple, NetMode, NeutroValue, SemanticNet
 from polarnet.dsl import format_net, parse_net
 from polarnet.io import from_json, to_json
+from polarnet.matrix import adjacency_tensor, from_matrices, membership_matrix
 
 VERTICES = 2000
 EDGES = 8000
@@ -48,3 +50,23 @@ def test_large_net_round_trips_through_pnet_and_json():
     assert [v for v in net.validate() if v.severity == "error"] == []
     assert parse_net(format_net(net)) == net
     assert from_json(to_json(net)) == net
+
+
+def test_large_net_round_trips_through_the_matrices():
+    net = large_net(seed=2014)
+    tracemalloc.start()
+    try:
+        tensor = adjacency_tensor(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rebuilt = from_matrices(net.mode, net.name, net.scale,
+                            membership_matrix(net), tensor)
+    expected = sorted(((e.src, e.dst, e.weight) for e in net.edges
+                       if not e.weight.is_zero), key=lambda e: e[:2])
+    assert 0 < len(expected) < EDGES  # some weights are all-zero
+    assert [(e.src, e.dst, e.weight) for e in rebuilt.edges] == expected
+    assert all(e.label == "" for e in rebuilt.edges)
+    assert sum(map(len, tensor.entries)) == len(expected)
+    # The dense 3 x V x V tensor would need more than 90 MiB.
+    assert peak < 8 * 2**20
