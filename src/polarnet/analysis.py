@@ -115,11 +115,12 @@ def polar_select(net: SemanticNet, vertex_id: int,
     then lexicographic label.
     """
     net.vertex(vertex_id)
+    scale = net.scale
     entries = []
     for e in net.out_edges(vertex_id):
         neighbor = net.vertex(e.dst)
-        combined = combine(normalize(e.weight, net.scale),
-                           normalize(neighbor.membership, net.scale))
+        combined = combine(normalize(e.weight, scale),
+                           normalize(neighbor.membership, scale))
         entries.append((neighbor.label,
                         RankedNeighbor(neighbor.id, combined,
                                        polarity_score(combined))))
@@ -145,10 +146,11 @@ def net_polarity(net: SemanticNet,
     positive when the summary score exceeds ``threshold``, negative below
     ``-threshold``, else neutral.
     """
-    if not net.vertices:
+    vertices, scale = net.vertices, net.scale
+    if not vertices:
         raise NetError("empty net has no polarity")
-    triples = [normalize(v.membership, net.scale) for v in net.vertices]
-    triples += [normalize(e.weight, net.scale) for e in net.edges]
+    triples = [normalize(v.membership, scale) for v in vertices]
+    triples += [normalize(e.weight, scale) for e in net.edges]
     count = len(triples)
     summary = NormalizedTriple(
         sum(t.p for t in triples) / count,

@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on domain errors (parse or validation failures),
-2 on usage errors (bad flags, missing or unrecognized files).  Diagnostics
-go to stderr, data to stdout.
+2 on usage errors (bad flags, missing or unrecognized files) and on output
+that cannot be written.  Diagnostics go to stderr, data to stdout as UTF-8
+whatever the locale.  A reader that closes stdout early ends the output
+quietly, with the command's own exit code.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -81,14 +84,31 @@ def _load(args: argparse.Namespace) -> tuple[SemanticNet | None, int]:
         return None, 1
 
 
-def _write_or_print(text: str, output: str | None) -> int:
-    if output is None:
-        sys.stdout.write(text)
-        return 0
+def _write(text: str, output: str | None) -> int:
+    """Write ``text`` as UTF-8 to the file ``output``, else to stdout.
+
+    All data leaves the CLI here.  Returns 2 when it cannot be written.
+    """
+    if output is None and sys.stdout is None:  # started with stdout closed
+        print("cannot write <stdout>: it is closed", file=sys.stderr)
+        return 2
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        if output is not None:
+            Path(output).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.flush()
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
     except OSError as exc:
-        print(f"cannot write {output}: {exc}", file=sys.stderr)
+        if output is None and isinstance(exc, BrokenPipeError):
+            # The reader is gone: end quietly, and point stdout at devnull so
+            # that the flush at interpreter exit does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
+        print(f"cannot write {output or '<stdout>'}: {exc}", file=sys.stderr)
         return 2
     return 0
 
@@ -107,23 +127,19 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_validate(net: SemanticNet) -> int:
+def _cmd_validate(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
     violations = net.validate()
     if not violations:
-        print("OK")
-        return 0
-    for violation in violations:
-        print(str(violation))
-    return 1
+        return 0, "OK\n"
+    return 1, "".join(f"{violation}\n" for violation in violations)
 
 
-def _cmd_classify(net: SemanticNet) -> int:
-    for flag, value in net.classify().flags().items():
-        print(f"{flag}={'true' if value else 'false'}")
-    return 0
+def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    return 0, "".join(f"{flag}={'true' if value else 'false'}\n"
+                      for flag, value in net.classify().flags().items())
 
 
-def _cmd_matrices(net: SemanticNet) -> int:
+def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
     mm = membership_matrix(net)
     tensor = adjacency_tensor(net)
     channels = net.mode.channel_names
@@ -137,32 +153,47 @@ def _cmd_matrices(net: SemanticNet) -> int:
         rows += [[label, *(str(v) for v in tensor.slices[k][i])]
                  for i, label in enumerate(tensor.labels)]
         blocks.append(_table(rows))
-    print("\n\n".join(blocks))
-    return 0
+    return 0, "\n\n".join(blocks) + "\n"
 
 
-def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> int:
+def _cmd_render(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    return 0, net_io.to_dot(net)
+
+
+def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
     vertex = net.find_vertex(args.vertex)
     if vertex is None:
         print(f"unknown vertex label: {args.vertex}", file=sys.stderr)
-        return 1
+        return 1, ""
     result = polar_select(net, vertex.id, Polarity(args.prefer))
+    lines = []
     for rank, item in enumerate(result.ranked, start=1):
         t = item.combined
-        print(f"{rank}. {net.vertex(item.vertex_id).label} score={_fmt(item.score)} "
-              f"({_fmt(t.p)}, {_fmt(t.u)}, {_fmt(t.n)})")
-    return 0
+        lines.append(f"{rank}. {net.vertex(item.vertex_id).label} "
+                     f"score={_fmt(item.score)} "
+                     f"({_fmt(t.p)}, {_fmt(t.u)}, {_fmt(t.n)})\n")
+    return 0, "".join(lines)
 
 
-def _cmd_polarity(net: SemanticNet) -> int:
+def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
     try:
         summary, label = net_polarity(net)
     except NetError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    print(f"summary ({_fmt(summary.p)}, {_fmt(summary.u)}, {_fmt(summary.n)})")
-    print(f"label {label.value}")
-    return 0
+        return 1, ""
+    return 0, (f"summary ({_fmt(summary.p)}, {_fmt(summary.u)}, {_fmt(summary.n)})\n"
+               f"label {label.value}\n")
+
+
+def _cmd_convert(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    return 0, (net_io.to_json(net) if args.target == "json" else dsl.format_net(net))
+
+
+# Each command returns its exit code and the text it writes to stdout.
+_COMMANDS = {"validate": _cmd_validate, "classify": _cmd_classify,
+             "matrices": _cmd_matrices, "render": _cmd_render,
+             "select": _cmd_select, "polarity": _cmd_polarity,
+             "convert": _cmd_convert}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,19 +201,5 @@ def main(argv: list[str] | None = None) -> int:
     net, code = _load(args)
     if net is None:
         return code
-    if args.command == "validate":
-        return _cmd_validate(net)
-    if args.command == "classify":
-        return _cmd_classify(net)
-    if args.command == "matrices":
-        return _cmd_matrices(net)
-    if args.command == "render":
-        return _write_or_print(net_io.to_dot(net), args.output)
-    if args.command == "select":
-        return _cmd_select(net, args)
-    if args.command == "polarity":
-        return _cmd_polarity(net)
-    if args.command == "convert":
-        text = net_io.to_json(net) if args.target == "json" else dsl.format_net(net)
-        return _write_or_print(text, args.output)
-    raise AssertionError(f"unhandled command {args.command}")
+    code, text = _COMMANDS[args.command](net, args)
+    return _write(text, getattr(args, "output", None)) or code

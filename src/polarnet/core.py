@@ -7,20 +7,22 @@ as truth/indeterminacy/falsehood (FNSN) or positivity/neutrality/negativity
 by the net's per-channel scale, or a scaled indeterminacy n*I with
 coefficient n in (0, 1].
 
-Nets are built single-writer through ``add_vertex``/``add_edge``; a finished
-net is treated as immutable and is safe to share across threads for reads.
+Nets are built single-writer through ``add_vertex``/``add_edge``, the only
+way to add elements, so every net is valid by construction; a finished net
+is safe to share across threads for reads.
 
-This module is the one place that checks the invariants: entry domain and
-range, PNSN crispness, label syntax, unique labels, no loops and no
-duplicate edges.  Construction raises a :class:`NetError` whose ``kind`` and
+This module is the one place that checks the invariants.  Construction
+enforces entry domain and range, label syntax, unique labels, no loops and
+no duplicate edges; it raises a :class:`NetError` whose ``kind`` and
 ``channel`` say which invariant broke and where, and the ``.pnet`` and JSON
 loaders turn those into locations in their input without checking again.
+PNSN crispness depends on the mode, so ``validate`` reports it instead.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, NamedTuple, Union
 
@@ -161,11 +163,13 @@ class ChannelTriple:
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self)
+        # An indeterminacy's coefficient is positive, so an entry is zero
+        # exactly when its magnitude is.
+        return not (self.c1.magnitude or self.c2.magnitude or self.c3.magnitude)
 
     @property
     def has_indeterminate(self) -> bool:
-        return any(v.indeterminate for v in self)
+        return self.c1.indeterminate or self.c2.indeterminate or self.c3.indeterminate
 
     def __str__(self) -> str:
         return "({}, {}, {})".format(*(str(v) for v in self))
@@ -271,11 +275,7 @@ _STRUCTURE_TEXT = {
 
 
 def _structure_error(kind: str, *labels: object) -> NetError:
-    """The ``kind`` label, loop or duplicate problem, worded for its labels.
-
-    Construction raises it and ``validate`` reports its text, so both say
-    the same thing about the same fault.
-    """
+    """The ``kind`` label, loop or duplicate problem, worded for its labels."""
     return NetError(_STRUCTURE_TEXT[kind].format(*labels), kind)
 
 
@@ -295,7 +295,6 @@ class Order(NamedTuple):
     total: int
 
 
-@dataclass
 class SemanticNet:
     """A mode-tagged directed net of vertices and weighted edges.
 
@@ -303,33 +302,56 @@ class SemanticNet:
     insertion order is significant: it defines matrix row/column order, and
     a vertex's id is its position in ``vertices``.
 
-    Lookups go through private indexes (label -> vertex, src -> {dst: edge})
-    that are kept out of equality and repr.  They index lazily, so vertices
-    and edges appended straight onto ``vertices``/``edges`` are found too;
-    other in-place edits of those lists are not tracked.  Catching up only
-    adds entries and records the indexed count last, so concurrent readers
-    of a finished net stay safe.
+    A net is valid by construction: the constructor takes only mode, name
+    and scale, and ``add_vertex``/``add_edge`` either add one element or raise
+    a :class:`NetError` and leave the net unchanged.  ``vertices`` and
+    ``edges`` are read-only tuples, copied on each read, and ``scale`` cannot
+    be reassigned.  ``mode`` and ``name`` are plain attributes, since no
+    invariant depends on them (crispness is a ``validate`` finding under the
+    current mode).  Private lookup indexes stay out of ``==`` and ``repr``;
+    nets compare by value and are unhashable.
     """
 
-    mode: NetMode
-    name: str = ""
-    scale: tuple[float, float, float] = DEFAULT_SCALE
-    vertices: list[Vertex] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        scale = tuple(float(s) for s in self.scale)
+    def __init__(self, mode: NetMode, name: str = "",
+                 scale: tuple[float, float, float] = DEFAULT_SCALE):
+        scale = tuple(float(s) for s in scale)
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
         for k, s in enumerate(scale, start=1):
             problem = scale_error(k, s)
             if problem:
                 raise problem
-        self.scale = scale
+        self.mode = mode
+        self.name = name
+        self._scale = scale
+        self._vertices: list[Vertex] = []
+        self._edges: list[Edge] = []
         self._by_label: dict[str, Vertex] = {}
         self._out: dict[int, dict[int, Edge]] = {}
-        self._indexed_vertices = 0
-        self._indexed_edges = 0
+
+    @property
+    def scale(self) -> tuple[float, float, float]:
+        return self._scale
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(self._vertices)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self._edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.mode, self.name, self._scale, self._vertices, self._edges)
+                == (other.mode, other.name, other._scale, other._vertices,
+                    other._edges))
+
+    def __repr__(self) -> str:
+        return (f"SemanticNet(mode={self.mode!r}, name={self.name!r}, "
+                f"scale={self._scale!r}, vertices={self.vertices!r}, "
+                f"edges={self.edges!r})")
 
     # -- construction -----------------------------------------------------
 
@@ -338,11 +360,12 @@ class SemanticNet:
         """Append a vertex and return its id (the insertion index)."""
         if not is_valid_label(label):
             raise _structure_error("label", label)
-        if self.find_vertex(label) is not None:
+        if label in self._by_label:
             raise _structure_error("duplicate label", label)
-        triple = self._in_scale(membership)
-        vid = len(self.vertices)
-        self.vertices.append(Vertex(vid, label, triple, bool(indeterminate)))
+        vid = len(self._vertices)
+        vertex = Vertex(vid, label, self._in_scale(membership), bool(indeterminate))
+        self._vertices.append(vertex)
+        self._by_label[label] = vertex
         return vid
 
     def add_edge(self, src: int, dst: int, weight: TripleLike, label: str = "",
@@ -355,77 +378,46 @@ class SemanticNet:
         if self.has_edge(src, dst):
             raise _structure_error("duplicate edge", source.label, target.label)
         edge = Edge(src, dst, self._in_scale(weight), label, bool(indeterminate))
-        self.edges.append(edge)
+        self._edges.append(edge)
+        self._out.setdefault(src, {})[dst] = edge
         return edge
 
     # -- lookup -----------------------------------------------------------
 
     def vertex(self, vid: int) -> Vertex:
         """The vertex with id ``vid``, in O(1)."""
-        if isinstance(vid, int) and 0 <= vid < len(self.vertices):
-            return self.vertices[vid]
+        if isinstance(vid, int) and 0 <= vid < len(self._vertices):
+            return self._vertices[vid]
         raise NetError(f"unknown vertex id {vid}")
 
     def find_vertex(self, label: str) -> Vertex | None:
-        """The first vertex labeled ``label``, or None; O(1)."""
-        if self._indexed_vertices != len(self.vertices):
-            for v in self.vertices[self._indexed_vertices:]:
-                self._by_label.setdefault(v.label, v)
-            self._indexed_vertices = len(self.vertices)
+        """The vertex labeled ``label``, or None; O(1)."""
         return self._by_label.get(label)
 
     def out_edges(self, vid: int) -> list[Edge]:
         """Edges leaving ``vid`` in insertion order; O(out-degree)."""
-        out = self._out_index().get(vid)
+        out = self._out.get(vid)
         return list(out.values()) if out else []
 
     def has_edge(self, src: int, dst: int) -> bool:
         """True when an edge src -> dst exists; O(1)."""
-        return dst in self._out_index().get(src, ())
+        return dst in self._out.get(src, ())
 
     # -- inspection -------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """Return all well-formedness violations for this net's mode.
+        """Return all well-formedness findings for this net's mode.
 
-        Constructed nets only ever accrue mode-semantic findings here
-        (PNSN crispness) plus warnings for all-zero-weight edges, which are
-        representable but unrecoverable from the adjacency tensor.
-        Structural invariants are re-checked so that nets assembled from
-        untrusted sources are covered too.
+        Construction already enforces every structural invariant and every
+        entry's domain and range, so the findings are PNSN crispness errors
+        and warnings for all-zero-weight edges, which are representable but
+        unrecoverable from the adjacency tensor.
         """
         out: list[Violation] = []
-        for k, s in enumerate(self.scale, start=1):
-            problem = scale_error(k, s)
-            if problem:
-                out.append(Violation(str(problem)))
-        seen_labels: set[str] = set()
-        for pos, v in enumerate(self.vertices):
-            if not is_valid_label(v.label):
-                out.append(Violation(str(_structure_error("label", v.label))))
-            if v.label in seen_labels:
-                out.append(Violation(
-                    str(_structure_error("duplicate label", v.label))))
-            seen_labels.add(v.label)
-            if v.id != pos:
-                out.append(Violation(
-                    f"vertex {v.label!r} has id {v.id} but position {pos}"))
+        for v in self._vertices:
             out.extend(self._entry_violations(f"vertex {v.label!r}", v.membership))
-        ids = range(len(self.vertices))
-        seen_pairs: set[tuple[int, int]] = set()
-        for e in self.edges:
+        for e in self._edges:
             where = f"edge {e.src} -> {e.dst}"
-            if e.src not in ids or e.dst not in ids:
-                out.append(Violation(f"{where} references a missing vertex"))
-                continue
-            if e.src == e.dst:
-                out.append(Violation(str(_structure_error(
-                    "loop", self.vertices[e.src].label))))
-            if (e.src, e.dst) in seen_pairs:
-                out.append(Violation(str(_structure_error(
-                    "duplicate edge", self.vertices[e.src].label,
-                    self.vertices[e.dst].label))))
-            seen_pairs.add((e.src, e.dst))
             out.extend(self._entry_violations(where, e.weight))
             if e.weight.is_zero:
                 out.append(Violation(
@@ -435,47 +427,30 @@ class SemanticNet:
         return out
 
     def classify(self) -> GraphClass:
-        """Classification flags; a pure function of the indeterminate marks."""
-        has_iv = any(v.indeterminate for v in self.vertices)
-        has_ie = any(e.indeterminate for e in self.edges)
-        ind_ids = {v.id for v in self.vertices if v.indeterminate}
-        pair_counts: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            pair_counts[(e.src, e.dst)] = pair_counts.get((e.src, e.dst), 0) + 1
-        simple = True
-        for e in self.edges:
-            touches = e.src in ind_ids or e.dst in ind_ids
-            if e.src == e.dst and e.src in ind_ids:
-                simple = False
-            if pair_counts[(e.src, e.dst)] > 1 and touches:
-                simple = False
+        """Classification flags; a pure function of the indeterminate marks.
+
+        ``is_neutrosophic_simple`` is always True: a net is simple when no
+        loop or multi-edge touches an indeterminate vertex, and construction
+        rejects every loop and every second edge between the same pair.
+        """
+        has_iv = any(v.indeterminate for v in self._vertices)
+        has_ie = any(e.indeterminate for e in self._edges)
         return GraphClass(
             has_indeterminate_vertex=has_iv,
             has_indeterminate_edge=has_ie,
             is_point_graph=has_iv,
             is_edge_graph=has_ie,
             is_strongly_neutrosophic=has_iv and has_ie,
-            is_neutrosophic_simple=simple,
+            is_neutrosophic_simple=True,
         )
 
     def order(self) -> Order:
         """Counts of ordinary and indeterminate vertices."""
-        ind = sum(1 for v in self.vertices if v.indeterminate)
-        total = len(self.vertices)
+        ind = sum(1 for v in self._vertices if v.indeterminate)
+        total = len(self._vertices)
         return Order(total - ind, ind, total)
 
     # -- internals ----------------------------------------------------------
-
-    def _out_index(self) -> dict[int, dict[int, Edge]]:
-        """The src -> {dst: edge} index, caught up with ``edges``.
-
-        An appended duplicate pair (an invalid net) keeps its first edge.
-        """
-        if self._indexed_edges != len(self.edges):
-            for e in self.edges[self._indexed_edges:]:
-                self._out.setdefault(e.src, {}).setdefault(e.dst, e)
-            self._indexed_edges = len(self.edges)
-        return self._out
 
     def _in_scale(self, triple: TripleLike) -> ChannelTriple:
         """``triple`` as a ChannelTriple; raises its first degree above scale.
@@ -485,14 +460,14 @@ class SemanticNet:
         whole construction check; ``entry_problem`` words a failure.
         """
         triple = _coerce_triple(triple)
-        for k, (val, mx) in enumerate(zip(triple, self.scale), start=1):
+        for k, (val, mx) in enumerate(zip(triple, self._scale), start=1):
             if val.magnitude > mx and not val.indeterminate:
                 raise entry_problem(k, val, mx)
         return triple
 
     def _entry_violations(self, what: str, triple: ChannelTriple) -> list[Violation]:
         out: list[Violation] = []
-        for k, (val, mx) in enumerate(zip(triple, self.scale), start=1):
+        for k, (val, mx) in enumerate(zip(triple, self._scale), start=1):
             problem = entry_problem(k, val, mx, self.mode)
             if problem:
                 out.append(Violation(f"{what}: {problem}"))

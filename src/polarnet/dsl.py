@@ -397,14 +397,14 @@ def format_net(net: SemanticNet) -> str:
     """
     lines = [f"net {net.mode.value.lower()} {_quote(net.name)} scale "
              + " ".join(fmt_number(s) for s in net.scale)]
-    for v in net.vertices:
+    vertices = net.vertices
+    for v in vertices:
         line = f"vertex {v.label} {v.membership}"
         if v.indeterminate:
             line += " indeterminate"
         lines.append(line)
-    labels = {v.id: v.label for v in net.vertices}
     for e in net.edges:
-        line = f"edge {labels[e.src]} -> {labels[e.dst]}"
+        line = f"edge {vertices[e.src].label} -> {vertices[e.dst].label}"
         if e.label:
             line += f" label {_quote(e.label)}"
         line += f" {e.weight}"

@@ -246,8 +246,9 @@ def to_dot(net: SemanticNet) -> str:
     out = ["digraph {"] if not net.name else [
         f'digraph "{_dot_escape(net.name)}" {{']
     indeterminate_count = 0
-    for v in net.vertices:
-        norm = normalize(v.membership, net.scale)
+    vertices, scale = net.vertices, net.scale
+    for v in vertices:
+        norm = normalize(v.membership, scale)
         text = _dot_escape(v.label)
         attrs = []
         if v.indeterminate:
@@ -257,13 +258,12 @@ def to_dot(net: SemanticNet) -> str:
         if v.indeterminate:
             attrs.append("style=dotted")
         out.append(f'  "{_dot_escape(v.label)}" [{", ".join(attrs)}];')
-    labels = {v.id: v.label for v in net.vertices}
     for e in net.edges:
         text = _dot_escape(f"{e.label} {e.weight}" if e.label else str(e.weight))
         attrs = [f'label="{text}"']
         if e.indeterminate:
             attrs.append("style=dotted")
-        out.append(f'  "{_dot_escape(labels[e.src])}" -> '
-                   f'"{_dot_escape(labels[e.dst])}" [{", ".join(attrs)}];')
+        out.append(f'  "{_dot_escape(vertices[e.src].label)}" -> '
+                   f'"{_dot_escape(vertices[e.dst].label)}" [{", ".join(attrs)}];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -74,11 +74,9 @@ class AdjacencyTensor:
         for k, sl in enumerate(slices, start=1):
             if len(sl) != n or any(len(row) != n for row in sl):
                 raise NetError(f"slice {k} is not {n} x {n}")
-        entries = tuple(
-            tuple((j, ChannelTriple(c1, c2, c3))
-                  for j, (c1, c2, c3) in enumerate(zip(*rows))
-                  if not (c1.is_zero and c2.is_zero and c3.is_zero))
-            for rows in zip(*slices))
+        cells = (enumerate(map(ChannelTriple, *rows)) for rows in zip(*slices))
+        entries = tuple(tuple((j, triple) for j, triple in row if not triple.is_zero)
+                        for row in cells)
         return cls(tuple(labels), entries)
 
     def triple(self, i: int, j: int) -> ChannelTriple:
@@ -137,25 +135,17 @@ def adjacency_tensor(net: SemanticNet) -> AdjacencyTensor:
     are then read in column order, so every row comes out sorted without a
     comparison sort.
     """
-    n = len(net.vertices)
+    labels = tuple(v.label for v in net.vertices)
+    n = len(labels)
     columns: list[list[Edge]] = [[] for _ in range(n)]
     for e in net.edges:
-        if not (0 <= e.src < n and 0 <= e.dst < n):
-            raise NetError(
-                f"edge {e.src} -> {e.dst} references a missing vertex")
-        w = e.weight
-        # An indeterminacy's coefficient is positive, so an entry is zero
-        # exactly when its magnitude is.
-        if w.c1.magnitude or w.c2.magnitude or w.c3.magnitude:
+        if not e.weight.is_zero:
             columns[e.dst].append(e)
     rows: list[list[tuple[int, ChannelTriple]]] = [[] for _ in range(n)]
     for j, column in enumerate(columns):
         for e in column:
             rows[e.src].append((j, e.weight))
-    return AdjacencyTensor(
-        labels=tuple(v.label for v in net.vertices),
-        entries=tuple(map(tuple, rows)),
-    )
+    return AdjacencyTensor(labels=labels, entries=tuple(map(tuple, rows)))
 
 
 def from_matrices(mode: NetMode, name: str, scale: tuple[float, float, float],

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarnet.cli import main
+from polarnet.core import NetMode, SemanticNet
+from polarnet.dsl import format_net
+from polarnet.io import to_dot
 
 from strategies import json_documents, mutated_pnet
 
@@ -264,3 +270,65 @@ def test_cli_is_total_over_fuzzed_files(case):
                 code = exc.code
                 assert code == 2 and "up" in argv
     assert code in (0, 1, 2)
+
+
+# -- stdout in a child process, where capsys cannot reach ----------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _polarnet(argv, stdout, env=(), **options):
+    """Run ``python -m polarnet`` in a child with ``stdout`` and extra ``env``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "polarnet", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, **dict(env)},
+                          **options)
+
+
+@pytest.mark.parametrize("argv", [["matrices"], ["convert", "--to", "json"]],
+                         ids=["matrices", "convert-json"])
+def test_closed_stdout_ends_quietly(fixtures_dir, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        child = _polarnet([argv[0], fixture(fixtures_dir, "s1.pnet"), *argv[1:]],
+                          write_end)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("argv,emit", [
+    (["convert", "--to", "pnet"], format_net),
+    (["render"], to_dot),
+], ids=["convert-pnet", "render"])
+def test_ascii_locale_still_writes_utf8(tmp_path, argv, emit):
+    net = SemanticNet(NetMode.PFNSN, "café")
+    a = net.add_vertex("a", (3, 0, 0))
+    b = net.add_vertex("b", (0, 2, 0))
+    net.add_edge(a, b, (1.5, 0, 0), label="très")
+    path = tmp_path / "u.pnet"
+    path.write_text(format_net(net), encoding="utf-8")
+    child = _polarnet([argv[0], str(path), *argv[1:]], subprocess.PIPE,
+                      {"PYTHONIOENCODING": "ascii"})
+    assert b"Traceback" not in child.stderr
+    assert (child.returncode, child.stdout) == (0, emit(net).encode("utf-8"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_two(fixtures_dir):
+    with open("/dev/full", "wb") as full:
+        child = _polarnet(["convert", fixture(fixtures_dir, "s1.pnet"), "--to",
+                           "json"], full)
+    assert child.returncode == 2
+    assert child.stderr.decode().startswith("cannot write <stdout>: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_closed_stdout_descriptor_exits_two(fixtures_dir):
+    child = _polarnet(["classify", fixture(fixtures_dir, "s1.pnet")], None,
+                      preexec_fn=lambda: os.close(1))
+    assert child.returncode == 2
+    assert child.stderr == b"cannot write <stdout>: it is closed\n"

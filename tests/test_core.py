@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polarnet import fixtures
 from polarnet.core import (
     ChannelTriple,
     Edge,
@@ -14,6 +15,7 @@ from polarnet.core import (
     SemanticNet,
     Vertex,
 )
+from polarnet.dsl import format_net, parse_net
 
 from strategies import nets, triples
 
@@ -69,7 +71,7 @@ class TestNetConstruction:
     def test_new_net_is_empty_with_default_scale(self):
         net = SemanticNet(NetMode.PFNSN, "S3")
         assert net.scale == (3.0, 2.0, 1.0)
-        assert net.vertices == [] and net.edges == []
+        assert net.vertices == () and net.edges == ()
 
     def test_nonpositive_scale_reports_channel(self):
         with pytest.raises(NetError, match="channel 1"):
@@ -129,7 +131,7 @@ class TestValidate:
         assert s2_net.validate() == []
 
     def test_fuzzy_degrees_violate_crisp_mode(self, s3_net):
-        as_pnsn = dataclasses.replace(s3_net, mode=NetMode.PNSN)
+        as_pnsn = parse_net(format_net(s3_net).replace("pfnsn", "pnsn", 1))
         messages = [v.message for v in as_pnsn.validate()]
         assert any("non-crisp degree 2.7" in m for m in messages)
         assert len(messages) == 3  # 2.7, 1.4 and 0.3 are all non-crisp
@@ -146,10 +148,11 @@ class TestValidate:
         assert any("outside (0, 1]" in m for m in messages)
 
     def test_out_of_range_degree_reported(self):
-        net = SemanticNet(NetMode.FNSN, "x",
-                          vertices=[Vertex(0, "a", ChannelTriple.of(0, 5, 0))])
-        assert [v.message for v in net.validate()] == [
-            "vertex 'a': channel 2 degree 5 exceeds scale 2"]
+        net = SemanticNet(NetMode.FNSN, "x")
+        with pytest.raises(NetError) as info:
+            net.add_vertex("a", ChannelTriple.of(0, 5, 0))
+        assert str(info.value) == "channel 2 degree 5 exceeds scale 2"
+        assert net.vertices == () and net.validate() == []
 
     def test_zero_weight_edge_is_a_warning(self):
         net = SemanticNet(NetMode.FNSN, "x")
@@ -161,34 +164,35 @@ class TestValidate:
         assert "all-zero weight" in violations[0].message
 
     def test_structural_invariants_rechecked(self):
+        # An edge to a missing vertex, once a validate finding, cannot be built.
         net = SemanticNet(NetMode.FNSN, "x")
         a = net.add_vertex("a", (1, 0, 0))
-        net.edges.append(Edge(a, 9, ChannelTriple.zero()))
-        assert any("missing vertex" in v.message for v in net.validate())
+        with pytest.raises(NetError, match="unknown vertex id 9"):
+            net.add_edge(a, 9, ChannelTriple.zero())
+        assert net.edges == () and net.validate() == []
 
-    @pytest.mark.parametrize("append,construct", [
-        (lambda net, w: net.vertices.append(Vertex(2, "not a word", w)),
-         lambda net, w: net.add_vertex("not a word", w)),
-        (lambda net, w: net.vertices.append(Vertex(2, "a", w)),
-         lambda net, w: net.add_vertex("a", w)),
-        (lambda net, w: net.edges.append(Edge(0, 0, w)),
-         lambda net, w: net.add_edge(0, 0, w)),
-        (lambda net, w: net.edges.append(Edge(0, 1, w)),
-         lambda net, w: net.add_edge(0, 1, w)),
+    @pytest.mark.parametrize("construct,text", [
+        (lambda net, w: net.add_vertex("not a word", w),
+         "label 'not a word' must be an identifier "
+         "(letters, digits, underscore; not starting with a digit)"),
+        (lambda net, w: net.add_vertex("a", w), "duplicate vertex label 'a'"),
+        (lambda net, w: net.add_edge(0, 0, w), "loop on vertex 'a' rejected"),
+        (lambda net, w: net.add_edge(0, 1, w), "duplicate edge 'a' -> 'b'"),
     ], ids=["label", "duplicate-label", "loop", "duplicate-edge"])
-    def test_structural_findings_word_construction_errors(self, append,
-                                                          construct):
+    def test_structural_findings_word_construction_errors(self, construct,
+                                                          text):
+        # The structural faults that validate once reported are construction
+        # errors worded as validate worded them.
         weight = ChannelTriple.of(1, 0, 0)
         built = SemanticNet(NetMode.FNSN, "x")
         built.add_vertex("a", weight)
         built.add_vertex("b", weight)
         built.add_edge(0, 1, weight)
-        raw = SemanticNet(NetMode.FNSN, "x", vertices=list(built.vertices),
-                          edges=list(built.edges))
-        append(raw, weight)
+        before = _rebuilt(built)
         with pytest.raises(NetError) as info:
             construct(built, weight)
-        assert [v.message for v in raw.validate()] == [str(info.value)]
+        assert str(info.value) == text
+        assert built == before and built.validate() == []
 
 
 class TestClassify:
@@ -224,16 +228,18 @@ class TestClassify:
         net.add_edge(a, b, (0, 1, 0), indeterminate=True)
         assert net.classify().is_strongly_neutrosophic
 
-    def test_loop_on_indeterminate_vertex_breaks_simplicity(self):
+    def test_loop_on_indeterminate_vertex_is_rejected(self):
         net = SemanticNet(NetMode.FNSN, "x")
         a = net.add_vertex("a", (0, 0, 0), indeterminate=True)
-        net.edges.append(Edge(a, a, ChannelTriple.of(1, 0, 0)))
-        assert not net.classify().is_neutrosophic_simple
+        with pytest.raises(NetError, match="loop"):
+            net.add_edge(a, a, (1, 0, 0))
+        assert net.classify().is_neutrosophic_simple
 
     def test_loop_on_ordinary_vertex_keeps_simplicity(self):
         net = SemanticNet(NetMode.FNSN, "x")
         a = net.add_vertex("a", (0, 0, 0))
-        net.edges.append(Edge(a, a, ChannelTriple.of(1, 0, 0)))
+        with pytest.raises(NetError, match="loop"):
+            net.add_edge(a, a, (1, 0, 0))
         assert net.classify().is_neutrosophic_simple
 
 
@@ -290,54 +296,109 @@ def test_triple_iteration_yields_three_entries(triple):
     assert ChannelTriple(*values) == triple
 
 
+@given(triples((3.0, 2.0, 1.0), crisp=False))
+def test_triple_flags_agree_with_their_entries(triple):
+    assert triple.is_zero == all(v.is_zero for v in triple)
+    assert triple.has_indeterminate == any(v.indeterminate for v in triple)
+
+
+def _rebuilt(net):
+    """An equal net built afresh through ``add_vertex``/``add_edge``."""
+    copy = SemanticNet(net.mode, net.name, net.scale)
+    for v in net.vertices:
+        copy.add_vertex(v.label, v.membership, v.indeterminate)
+    for e in net.edges:
+        copy.add_edge(e.src, e.dst, e.weight, e.label, e.indeterminate)
+    return copy
+
+
 def _assert_lookups_match_linear_scans(net):
-    n = len(net.vertices)
+    vertices, edges = net.vertices, net.edges
+    n = len(vertices)
     for vid in range(n):
-        assert net.vertex(vid) is next(v for v in net.vertices if v.id == vid)
-        assert net.out_edges(vid) == [e for e in net.edges if e.src == vid]
+        assert net.vertex(vid) is next(v for v in vertices if v.id == vid)
+        assert net.out_edges(vid) == [e for e in edges if e.src == vid]
         for dst in range(n + 1):
             assert net.has_edge(vid, dst) == any(
-                e.src == vid and e.dst == dst for e in net.edges)
-    for v in net.vertices:
+                e.src == vid and e.dst == dst for e in edges)
+    for v in vertices:
         assert net.find_vertex(v.label) is next(
-            w for w in net.vertices if w.label == v.label)
+            w for w in vertices if w.label == v.label)
     assert net.find_vertex("never_drawn_label") is None
     for bad in (-1, n):
         with pytest.raises(NetError, match="unknown vertex"):
             net.vertex(bad)
 
 
+@st.composite
+def _additions(draw, net):
+    """An ``add_vertex`` or ``add_edge`` call on ``net``, often an invalid one:
+    a bad or taken label, a loop, a missing endpoint or a duplicate pair."""
+    n = len(net.vertices)
+    if draw(st.booleans()):
+        taken = [v.label for v in net.vertices]
+        label = draw(st.sampled_from(["fresh_vertex", "not a label", *taken]))
+        return "add_vertex", (label, (1, 0, 0))
+    if net.edges and draw(st.booleans()):
+        e = draw(st.sampled_from(net.edges))
+        return "add_edge", (e.src, e.dst, (1, 0, 0))
+    return "add_edge", (draw(st.integers(-1, n)), draw(st.integers(-1, n)),
+                        (1, 0, 0))
+
+
 @given(nets(), st.data())
 def test_indexed_lookups_match_linear_scans(net, data):
     _assert_lookups_match_linear_scans(net)
-    n = len(net.vertices)
-    net.vertices.append(Vertex(n, "appended_vertex", ChannelTriple.zero()))
-    src = data.draw(st.integers(0, n))
-    dst = data.draw(st.integers(0, n + 1))  # may be a loop or a missing vertex
-    if not any(e.src == src and e.dst == dst for e in net.edges):
-        net.edges.append(Edge(src, dst, ChannelTriple.of(1, 0, 0)))
-    _assert_lookups_match_linear_scans(net)
+    for _ in range(data.draw(st.integers(1, 5))):
+        method, args = data.draw(_additions(net))
+        before = _rebuilt(net)
+        try:
+            getattr(net, method)(*args)
+        except NetError:
+            assert net == before
+        else:
+            assert len(net.vertices) + len(net.edges) == \
+                len(before.vertices) + len(before.edges) + 1
+        _assert_lookups_match_linear_scans(net)
+        assert net.classify().is_neutrosophic_simple
 
 
 def test_lookup_indexes_stay_out_of_equality_and_repr():
-    built = SemanticNet(NetMode.FNSN, "x")
-    a = built.add_vertex("a", (1, 0, 0))
-    b = built.add_vertex("b", (1, 0, 0))
-    built.add_edge(a, b, (1, 0, 0))
-    assert built.has_edge(a, b) and built.find_vertex("a") is not None
-    raw = SemanticNet(NetMode.FNSN, "x", vertices=list(built.vertices),
-                      edges=list(built.edges))
-    assert raw == built
-    assert repr(raw) == repr(built)
+    built = fixtures.s1()
+    assert built.has_edge(0, 1) and built.find_vertex("night") is not None
+    twin = _rebuilt(built)
+    assert twin == built
+    assert repr(built) == (
+        f"SemanticNet(mode={NetMode.FNSN!r}, name='S1', scale=(3.0, 2.0, 1.0), "
+        f"vertices={built.vertices!r}, edges={built.edges!r})")
+    twin.name = "S1b"
+    assert twin != built
+    with pytest.raises(TypeError):
+        hash(built)
 
 
-def test_validate_reports_id_that_is_not_the_position():
-    net = SemanticNet(NetMode.FNSN, "x",
-                      vertices=[Vertex(5, "a", ChannelTriple.zero())])
-    assert [v.message for v in net.validate()] == [
-        "vertex 'a' has id 5 but position 0"]
-    with pytest.raises(NetError, match="unknown vertex id 5"):
-        net.vertex(5)
+def test_raw_net_back_door_is_closed():
+    net = fixtures.s1()
+    before = _rebuilt(net)
+    vertex = Vertex(4, "fresh", ChannelTriple.zero())
+    edge = Edge(0, 0, ChannelTriple.zero())
+    with pytest.raises(AttributeError):
+        net.vertices.append(vertex)
+    with pytest.raises(AttributeError):
+        net.edges.append(edge)
+    with pytest.raises(TypeError):
+        SemanticNet(NetMode.FNSN, vertices=[vertex])
+    with pytest.raises(TypeError):
+        SemanticNet(NetMode.FNSN, "x", (3, 2, 1), [vertex], [edge])
+    with pytest.raises(AttributeError):
+        net.scale = (3.0, 2.0, math.inf)
+    with pytest.raises(AttributeError):
+        net.vertices = (vertex,)
+    with pytest.raises(AttributeError):
+        net.edges = (edge,)
+    with pytest.raises(TypeError):
+        dataclasses.replace(net, mode=NetMode.PNSN)
+    assert net == before and net.validate() == []
 
 
 class TestNonFinite:
@@ -351,9 +412,3 @@ class TestNonFinite:
         with pytest.raises(NetError, match="channel 2 scale must be positive "
                                            "and finite"):
             SemanticNet(NetMode.FNSN, "x", (3, bad, 1))
-
-    def test_validate_reports_non_finite_scale(self):
-        net = SemanticNet(NetMode.FNSN, "x")
-        net.scale = (3.0, 2.0, math.inf)
-        assert [v.message for v in net.validate()] == [
-            "channel 3 scale must be positive and finite, got inf"]

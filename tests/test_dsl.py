@@ -30,7 +30,7 @@ class TestParseBasics:
         assert net.mode is NetMode.FNSN
         assert net.name == "empty"
         assert net.scale == (3.0, 2.0, 1.0)
-        assert net.vertices == [] and net.edges == []
+        assert net.vertices == () and net.edges == ()
 
     def test_comments_and_blank_lines_ignored(self):
         net = parse_net('\n# heading\nnet pnsn "x"  # trailing\n\nvertex a (0, 0, 0)\n')

@@ -297,7 +297,7 @@ def test_load_errors_survive_pickling(error, fields):
 
 def test_to_json_never_writes_non_finite_numbers():
     net = SemanticNet(NetMode.FNSN, "x")
-    net.scale = (math.inf, 2.0, 1.0)
+    net._scale = (math.inf, 2.0, 1.0)  # no public way to build this net
     with pytest.raises(ValueError):
         to_json(net)
 

@@ -6,7 +6,6 @@ from hypothesis import given
 
 from polarnet.core import (
     ChannelTriple,
-    Edge,
     NetError,
     NetMode,
     NeutroValue,
@@ -79,9 +78,9 @@ class TestAdjacencyTensor:
         net = SemanticNet(NetMode.FNSN, "x")
         net.add_vertex("a", (1, 0, 0))
         net.add_vertex("b", (1, 0, 0))
-        net.edges.append(Edge(src, dst, t(1, 0, 0)))
-        with pytest.raises(NetError, match="missing vertex"):
-            adjacency_tensor(net)
+        with pytest.raises(NetError, match="unknown vertex id"):
+            net.add_edge(src, dst, t(1, 0, 0))
+        assert adjacency_tensor(net).entries == ((), ())
 
     def test_slices_must_be_square(self):
         with pytest.raises(NetError, match="slice"):
@@ -106,7 +105,7 @@ class TestFromMatrices:
         net = from_matrices(NetMode.FNSN, "x", (3, 2, 1),
                             MembershipMatrix((), ()),
                             AdjacencyTensor.from_slices((), ((), (), ())))
-        assert net.vertices == [] and net.edges == []
+        assert net.vertices == () and net.edges == ()
 
     def test_dimension_mismatch_rejected(self):
         membership = MembershipMatrix(
@@ -162,7 +161,7 @@ def test_matrices_roundtrip_up_to_edge_labels(net):
     assert rebuilt.vertices == net.vertices
     expected_edges = sorted((replace(e, label="") for e in net.edges),
                             key=lambda e: (e.src, e.dst))
-    assert rebuilt.edges == expected_edges
+    assert rebuilt.edges == tuple(expected_edges)
     assert (rebuilt.mode, rebuilt.name, rebuilt.scale) == \
         (net.mode, net.name, net.scale)
 
