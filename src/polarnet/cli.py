@@ -76,11 +76,8 @@ def _load(args: argparse.Namespace) -> tuple[SemanticNet | None, int]:
         if fmt == "pnet":
             return dsl.parse_net(text), 0
         return net_io.from_json(text), 0
-    except dsl.ParseError as exc:
-        print(str(exc), file=sys.stderr)  # machine-parseable line:col:message
-        return None, 1
-    except net_io.SchemaError as exc:
-        print(str(exc), file=sys.stderr)
+    except (dsl.ParseError, net_io.SchemaError) as exc:
+        print(str(exc), file=sys.stderr)  # line:col: or $.json.path: message
         return None, 1
 
 

@@ -104,7 +104,9 @@ class NeutroValue:
     indeterminate: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "magnitude", float(self.magnitude))
+        # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
+        # alike, and keeps any other float object without copying it
+        object.__setattr__(self, "magnitude", float(self.magnitude) or 0.0)
         problem = entry_problem(None, self)
         if problem:
             raise problem
@@ -305,15 +307,17 @@ class SemanticNet:
     A net is valid by construction: the constructor takes only mode, name
     and scale, and ``add_vertex``/``add_edge`` either add one element or raise
     a :class:`NetError` and leave the net unchanged.  ``vertices`` and
-    ``edges`` are read-only tuples, copied on each read, and ``scale`` cannot
-    be reassigned.  ``mode`` and ``name`` are plain attributes, since no
-    invariant depends on them (crispness is a ``validate`` finding under the
-    current mode).  Private lookup indexes stay out of ``==`` and ``repr``;
-    nets compare by value and are unhashable.
+    ``edges`` are read-only tuples, copied on each read, and ``mode``,
+    ``name`` and ``scale`` cannot be reassigned.  Private lookup indexes stay
+    out of ``==`` and ``repr``; nets compare by value and are unhashable, and
+    ``copy.copy`` gives an independent net.
     """
 
     def __init__(self, mode: NetMode, name: str = "",
                  scale: tuple[float, float, float] = DEFAULT_SCALE):
+        if not (isinstance(mode, NetMode) and isinstance(name, str)):
+            raise TypeError(f"mode must be a NetMode and name a str, "
+                            f"got {mode!r} and {name!r}")
         scale = tuple(float(s) for s in scale)
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
@@ -321,13 +325,21 @@ class SemanticNet:
             problem = scale_error(k, s)
             if problem:
                 raise problem
-        self.mode = mode
-        self.name = name
+        self._mode = mode
+        self._name = name
         self._scale = scale
         self._vertices: list[Vertex] = []
         self._edges: list[Edge] = []
         self._by_label: dict[str, Vertex] = {}
         self._out: dict[int, dict[int, Edge]] = {}
+
+    @property
+    def mode(self) -> NetMode:
+        return self._mode
+
+    @property
+    def name(self) -> str:
+        return self._name
 
     @property
     def scale(self) -> tuple[float, float, float]:
@@ -344,9 +356,17 @@ class SemanticNet:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.mode, self.name, self._scale, self._vertices, self._edges)
-                == (other.mode, other.name, other._scale, other._vertices,
+        return ((self._mode, self._name, self._scale, self._vertices, self._edges)
+                == (other._mode, other._name, other._scale, other._vertices,
                     other._edges))
+
+    def __copy__(self) -> SemanticNet:
+        twin = type(self)(self._mode, self._name, self._scale)
+        twin._vertices = self._vertices.copy()
+        twin._edges = self._edges.copy()
+        twin._by_label = self._by_label.copy()
+        twin._out = {src: out.copy() for src, out in self._out.items()}
+        return twin
 
     def __repr__(self) -> str:
         return (f"SemanticNet(mode={self.mode!r}, name={self.name!r}, "

@@ -10,11 +10,17 @@ output)::
                       "weight": [ {"d": 2.4}, {"d": 0.0}, {"d": 0.0} ] } ] }
 
 A channel entry is ``{"d": x}`` for a determinate degree or ``{"i": n}``
-for the indeterminacy n*I.  Nets are directed, so ``"directed": false`` is
-rejected.  Documents are untrusted on input.  The loader checks the schema
-and resolves vertex ids; core checks every net invariant, and its error is
-reported at the JSON path it concerns, like ``$.edges[0].weight[1]``, with
-the same message as the ``.pnet`` parser gives.
+for the indeterminacy n*I, with x and n numbers.  ``mode``, ``name`` and
+``label`` are strings, ``scale`` is three numbers, ``id``, ``src`` and
+``dst`` are integers (``true`` is none) and ``indeterminate`` is a boolean.
+Optional: ``indeterminate`` (default false), an edge's ``label`` (default
+"") and ``directed``, which must be true if present.  Vertex ids, which
+``src`` and ``dst`` refer to, are any distinct integers; the loaded net
+renumbers them by insertion position.  Documents are untrusted on input.
+The loader checks the schema and resolves vertex ids; core checks every net
+invariant, and its error is reported at the JSON path it concerns, like
+``$.edges[0].weight[1]``, with the same message as the ``.pnet`` parser
+gives.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import math
 from typing import Any
 
 from .analysis import normalize
-from .core import NetError, NetMode, NeutroValue, SemanticNet
+from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
 
@@ -77,82 +83,59 @@ def to_json(net: SemanticNet) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    return obj[key]
+_MISSING = object()
+_KIND_WORDS = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "integer"}
 
 
-def _object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, "object expected")
-    return value
+def _field(obj: dict, key: str, path: str, kind: type,
+           default: Any = _MISSING) -> Any:
+    """``obj[key]`` (``default`` when absent) if its type is exactly ``kind``;
+    ``json.loads`` builds exact types, so ``true`` is no integer here."""
+    value = obj.get(key, default)
+    if type(value) is kind:
+        return value
+    raise SchemaError(f"{path}.{key}", "missing field" if value is _MISSING
+                      else f"{_KIND_WORDS[kind]} expected")
 
 
-def _array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, "array expected")
-    return value
-
-
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, "string expected")
-    return value
-
-
-def _boolean(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(path, "boolean expected")
-    return value
-
-
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, "number expected")
-    # NaN, Infinity and 1e999 load as non-finite floats; core rejects them
-    # as degrees and scales, and the caller reports that at ``path``.
+def _number(value: Any) -> float | None:
+    """A JSON number as a float, else None.  Core rejects the non-finite
+    floats that NaN, Infinity and 1e999 load as, and the caller locates it."""
+    if type(value) is not int:
+        return value if type(value) is float else None
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
         return math.inf
 
 
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "integer expected")
-    return value
-
-
-def _decode_triple(value: Any, path: str) -> list[NeutroValue]:
-    entries = _array(value, path)
+def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
+    """The channel entries ``obj[key]`` of the element at ``path``."""
+    entries = _field(obj, key, path, list)
     if len(entries) != 3:
-        raise SchemaError(path, f"3 channel entries expected, got {len(entries)}")
-    out = []
+        raise SchemaError(f"{path}.{key}",
+                          f"3 channel entries expected, got {len(entries)}")
+    values = []
     for k, entry in enumerate(entries):
-        epath = f"{path}[{k}]"
-        obj = _object(entry, epath)
-        keys = set(obj)
-        if keys == {"d"}:
-            ctor = NeutroValue.determinate
-        elif keys == {"i"}:
-            ctor = NeutroValue.indeterminacy
+        if type(entry) is not dict:
+            problem = "object expected"
+        elif len(entry) != 1 or ("d" not in entry and "i" not in entry):
+            problem = 'exactly one of "d" or "i" expected'
+        elif (x := _number(entry.get("d", entry.get("i")))) is None:
+            problem = "number expected"
         else:
-            raise SchemaError(epath, 'exactly one of "d" or "i" expected')
-        try:
-            out.append(ctor(_number(next(iter(obj.values())), epath)))
-        except NetError as exc:
-            raise SchemaError(epath, str(exc)) from exc
-    return out
+            try:
+                values.append(NeutroValue(x, "i" in entry))
+                continue
+            except NetError as exc:
+                problem = str(exc)
+        raise SchemaError(f"{path}.{key}[{k}]", problem)
+    return ChannelTriple(*values)
 
 
 def from_json(text: str) -> SemanticNet:
-    """Parse and re-validate a JSON document into a :class:`SemanticNet`.
-
-    Raises:
-        SchemaError: for malformed JSON, schema violations, or invariant
-            violations, with the JSON path of the offending element.
-    """
+    """Load a net; a :class:`SchemaError` locates the first problem in ``text``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -161,60 +144,58 @@ def from_json(text: str) -> SemanticNet:
     except RecursionError:
         raise SchemaError("$", "malformed JSON: arrays or objects nested "
                           "too deeply") from None
-    root = _object(doc, "$")
-    mode_name = _string(_get(root, "mode", "$"), "$.mode")
+    if type(doc) is not dict:
+        raise SchemaError("$", "object expected")
+    mode_name = _field(doc, "mode", "$", str)
     try:
         mode = NetMode(mode_name)
     except ValueError:
         raise SchemaError("$.mode", f"unknown mode {mode_name!r} "
                           "(expected FNSN, PNSN or PFNSN)") from None
-    name = _string(_get(root, "name", "$"), "$.name")
-    scale_arr = _array(_get(root, "scale", "$"), "$.scale")
-    if len(scale_arr) != 3:
-        raise SchemaError("$.scale", f"3 components expected, got {len(scale_arr)}")
-    scale = tuple(_number(component, f"$.scale[{k}]")
-                  for k, component in enumerate(scale_arr))
+    name = _field(doc, "name", "$", str)
+    scale = tuple(map(_number, _field(doc, "scale", "$", list)))
+    if len(scale) != 3:
+        raise SchemaError("$.scale", f"3 components expected, got {len(scale)}")
+    if None in scale:
+        raise SchemaError(f"$.scale[{scale.index(None)}]", "number expected")
     try:
         net = SemanticNet(mode, name, scale)
     except NetError as exc:
         raise _located(exc, "$", "scale") from exc
-    if root.get("directed", True) is not True:
+    if doc.get("directed", True) is not True:
         raise SchemaError("$.directed", "only directed nets are supported")
 
     id_map: dict[int, int] = {}
-    for i, item in enumerate(_array(_get(root, "vertices", "$"), "$.vertices")):
+    for i, obj in enumerate(_field(doc, "vertices", "$", list)):
         path = f"$.vertices[{i}]"
-        obj = _object(item, path)
-        ext_id = _integer(_get(obj, "id", path), f"{path}.id")
+        if type(obj) is not dict:
+            raise SchemaError(path, "object expected")
+        ext_id = _field(obj, "id", path, int)
         if ext_id in id_map:
             raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
-        label = _string(_get(obj, "label", path), f"{path}.label")
-        indeterminate = _boolean(obj.get("indeterminate", False),
-                                 f"{path}.indeterminate")
-        triple = _decode_triple(_get(obj, "membership", path),
-                                f"{path}.membership")
+        label = _field(obj, "label", path, str)
+        indeterminate = _field(obj, "indeterminate", path, bool, False)
+        membership = _triple(obj, "membership", path)
         try:
-            id_map[ext_id] = net.add_vertex(label, tuple(triple),
-                                            indeterminate=indeterminate)
+            id_map[ext_id] = net.add_vertex(label, membership, indeterminate)
         except NetError as exc:
             raise _located(exc, path, "membership") from exc
 
-    for i, item in enumerate(_array(_get(root, "edges", "$"), "$.edges")):
+    for i, obj in enumerate(_field(doc, "edges", "$", list)):
         path = f"$.edges[{i}]"
-        obj = _object(item, path)
-        src = _integer(_get(obj, "src", path), f"{path}.src")
+        if type(obj) is not dict:
+            raise SchemaError(path, "object expected")
+        src = _field(obj, "src", path, int)
         if src not in id_map:
             raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
-        dst = _integer(_get(obj, "dst", path), f"{path}.dst")
+        dst = _field(obj, "dst", path, int)
         if dst not in id_map:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        label = _string(obj.get("label", ""), f"{path}.label")
-        indeterminate = _boolean(obj.get("indeterminate", False),
-                                 f"{path}.indeterminate")
-        triple = _decode_triple(_get(obj, "weight", path), f"{path}.weight")
+        label = _field(obj, "label", path, str, "")
+        indeterminate = _field(obj, "indeterminate", path, bool, False)
+        weight = _triple(obj, "weight", path)
         try:
-            net.add_edge(id_map[src], id_map[dst], tuple(triple), label=label,
-                         indeterminate=indeterminate)
+            net.add_edge(id_map[src], id_map[dst], weight, label, indeterminate)
         except NetError as exc:
             raise _located(exc, path, "weight") from exc
     return net

@@ -136,6 +136,22 @@ class TestSelect:
         assert "unknown vertex label" in err
 
 
+    def test_negative_zero_degree_prints_as_zero(self, capsys, tmp_path):
+        doc = {"mode": "PFNSN", "name": "z", "scale": [3, 2, 1],
+               "vertices": [
+                   {"id": 0, "label": "a",
+                    "membership": [{"d": 3}, {"d": 0}, {"d": 0}]},
+                   {"id": 1, "label": "b",
+                    "membership": [{"d": -0.0}, {"d": 0}, {"d": 1}]}],
+               "edges": [{"src": 0, "dst": 1,
+                          "weight": [{"d": -0.0}, {"d": 0}, {"d": 0}]}]}
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "select", str(path), "--vertex", "a",
+                           "--prefer", "positive")
+        assert (code, out) == (0, "1. b score=-0.5 (0, 0, 0.5)\n")
+
+
 class TestPolarity:
     def test_balanced_fixture(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "polarity", fixture(fixtures_dir, "s2.pnet"))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -302,14 +303,15 @@ def test_triple_flags_agree_with_their_entries(triple):
     assert triple.has_indeterminate == any(v.indeterminate for v in triple)
 
 
-def _rebuilt(net):
-    """An equal net built afresh through ``add_vertex``/``add_edge``."""
-    copy = SemanticNet(net.mode, net.name, net.scale)
+def _rebuilt(net, name=None):
+    """An equal net built afresh through ``add_vertex``/``add_edge``, or one
+    that differs only by ``name``."""
+    twin = SemanticNet(net.mode, net.name if name is None else name, net.scale)
     for v in net.vertices:
-        copy.add_vertex(v.label, v.membership, v.indeterminate)
+        twin.add_vertex(v.label, v.membership, v.indeterminate)
     for e in net.edges:
-        copy.add_edge(e.src, e.dst, e.weight, e.label, e.indeterminate)
-    return copy
+        twin.add_edge(e.src, e.dst, e.weight, e.label, e.indeterminate)
+    return twin
 
 
 def _assert_lookups_match_linear_scans(net):
@@ -371,8 +373,7 @@ def test_lookup_indexes_stay_out_of_equality_and_repr():
     assert repr(built) == (
         f"SemanticNet(mode={NetMode.FNSN!r}, name='S1', scale=(3.0, 2.0, 1.0), "
         f"vertices={built.vertices!r}, edges={built.edges!r})")
-    twin.name = "S1b"
-    assert twin != built
+    assert _rebuilt(built, name="S1b") != built
     with pytest.raises(TypeError):
         hash(built)
 
@@ -393,12 +394,47 @@ def test_raw_net_back_door_is_closed():
     with pytest.raises(AttributeError):
         net.scale = (3.0, 2.0, math.inf)
     with pytest.raises(AttributeError):
+        net.mode = "PNSN"
+    with pytest.raises(AttributeError):
+        net.name = 5
+    with pytest.raises(AttributeError):
         net.vertices = (vertex,)
     with pytest.raises(AttributeError):
         net.edges = (edge,)
     with pytest.raises(TypeError):
         dataclasses.replace(net, mode=NetMode.PNSN)
     assert net == before and net.validate() == []
+
+
+@pytest.mark.parametrize("mode,name", [
+    ("PNSN", "x"), (NetMode.PNSN.value, "x"), (NetMode.FNSN, 5),
+    (NetMode.FNSN, None), (None, ""),
+])
+def test_constructor_rejects_mode_or_name_of_wrong_type(mode, name):
+    with pytest.raises(TypeError, match="mode must be a NetMode and name a str"):
+        SemanticNet(mode, name)
+
+
+def test_copy_is_independent_of_its_original():
+    net = fixtures.s1()
+    before = _rebuilt(net)
+    twin = copy.copy(net)
+    assert twin == net and twin is not net
+    night = twin.find_vertex("night").id
+    x = twin.add_vertex("x", (0, 0, 0))
+    twin.add_edge(night, x, (1, 0, 0))
+    twin.add_edge(x, night, (0, 0, 1))
+    assert net == before
+    assert net.find_vertex("x") is None and not net.has_edge(night, x)
+    assert [e.dst for e in net.out_edges(night)] == \
+        [e.dst for e in before.out_edges(night)]
+    assert twin.find_vertex("x").id == x and twin.has_edge(x, night)
+    assert all(a is b for a, b in zip(twin.vertices, net.vertices))
+    assert all(a is b for a, b in zip(twin.edges, net.edges))
+
+
+def test_negative_zero_degree_is_stored_as_zero():
+    assert math.copysign(1.0, NeutroValue(-0.0).magnitude) == 1.0
 
 
 class TestNonFinite:

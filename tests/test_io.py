@@ -61,6 +61,96 @@ class TestToJson:
         assert to_json(fixtures.s1()) == to_json(fixtures.s1())
 
 
+# (mutate, path, message) for a broken copy of S1's document.  These cases
+# are named "<lambda>-<path>", as pytest names a lambda and a string, so
+# their test ids stay stable; later cases have their own names.
+_SCHEMA_CASES = [
+    (lambda d: d.update(mode=3), "$.mode", "string expected"),
+    (lambda d: d.update(mode="XXX"), "$.mode",
+     "unknown mode 'XXX' (expected FNSN, PNSN or PFNSN)"),
+    (lambda d: d.update(name=None), "$.name", "string expected"),
+    (lambda d: d.update(scale=[3, 2]), "$.scale", "3 components expected, got 2"),
+    (lambda d: d.update(scale=[3, 0, 1]), "$.scale[1]",
+     "channel 2 scale must be positive and finite, got 0"),
+    (lambda d: d.update(vertices={}), "$.vertices", "array expected"),
+    (lambda d: d["vertices"][0].update(id="zero"), "$.vertices[0].id",
+     "integer expected"),
+    (lambda d: d["vertices"][0].update(label=4), "$.vertices[0].label",
+     "string expected"),
+    (lambda d: d["vertices"][0].update(label="not a word"), "$.vertices[0].label",
+     "label 'not a word' must be an identifier "
+     "(letters, digits, underscore; not starting with a digit)"),
+    (lambda d: d["vertices"][1].update(label="night"), "$.vertices[1].label",
+     "duplicate vertex label 'night'"),
+    (lambda d: d["vertices"][0].update(membership=[{"d": 1}, {"d": 1}]),
+     "$.vertices[0].membership", "3 channel entries expected, got 2"),
+    (lambda d: d["vertices"][0]["membership"].__setitem__(1, {"x": 1}),
+     "$.vertices[0].membership[1]", 'exactly one of "d" or "i" expected'),
+    (lambda d: d["vertices"][0]["membership"].__setitem__(0, {"d": 99.0}),
+     "$.vertices[0].membership[0]", "channel 1 degree 99 exceeds scale 3"),
+    (lambda d: d["vertices"][0]["membership"].__setitem__(2, {"i": 1.5}),
+     "$.vertices[0].membership[2]", "indeterminacy coefficient 1.5 outside (0, 1]"),
+    (lambda d: d["edges"][0].update(dst=77), "$.edges[0].dst", "unknown vertex id 77"),
+    (lambda d: d["edges"][0].update(dst=0), "$.edges[0]",
+     "loop on vertex 'night' rejected"),
+    (lambda d: d["edges"][1].update(src=0, dst=1), "$.edges[1]",
+     "duplicate edge 'night' -> 'cold'"),
+    (lambda d: d["edges"][0]["weight"].__setitem__(0, {"d": 50}),
+     "$.edges[0].weight[0]", "channel 1 degree 50 exceeds scale 3"),
+]
+_MORE_SCHEMA_CASES = {
+    "scale-true": (lambda d: d.update(scale=[3, 2, True]), "$.scale[2]",
+                   "number expected"),
+    "directed-1": (lambda d: d.update(directed=1), "$.directed",
+                   "only directed nets are supported"),
+    "vertex-array": (lambda d: d["vertices"].__setitem__(0, [0]), "$.vertices[0]",
+                     "object expected"),
+    "id-true": (lambda d: d["vertices"][0].update(id=True), "$.vertices[0].id",
+                "integer expected"),
+    "vertex-indeterminate-1": (lambda d: d["vertices"][0].update(indeterminate=1),
+                               "$.vertices[0].indeterminate", "boolean expected"),
+    "membership-object": (lambda d: d["vertices"][0].update(membership={}),
+                          "$.vertices[0].membership", "array expected"),
+    "entry-d-and-i": (
+        lambda d: d["vertices"][0]["membership"].__setitem__(1, {"d": 0, "i": 1}),
+        "$.vertices[0].membership[1]", 'exactly one of "d" or "i" expected'),
+    "entry-empty": (lambda d: d["vertices"][0]["membership"].__setitem__(1, {}),
+                    "$.vertices[0].membership[1]",
+                    'exactly one of "d" or "i" expected'),
+    "degree-true": (
+        lambda d: d["vertices"][0]["membership"].__setitem__(0, {"d": True}),
+        "$.vertices[0].membership[0]", "number expected"),
+    "coefficient-string": (
+        lambda d: d["vertices"][0]["membership"].__setitem__(0, {"i": "1"}),
+        "$.vertices[0].membership[0]", "number expected"),
+    "degree-huge-integer": (
+        lambda d: d["vertices"][0]["membership"].__setitem__(0, {"d": 10**400}),
+        "$.vertices[0].membership[0]",
+        "determinate degree inf is not a finite nonnegative real"),
+    "edge-string": (lambda d: d["edges"].__setitem__(0, "e"), "$.edges[0]",
+                    "object expected"),
+    "src-true": (lambda d: d["edges"][0].update(src=True), "$.edges[0].src",
+                 "integer expected"),
+    "edge-label-null": (lambda d: d["edges"][0].update(label=None),
+                        "$.edges[0].label", "string expected"),
+    "edge-indeterminate-no": (lambda d: d["edges"][0].update(indeterminate="no"),
+                              "$.edges[0].indeterminate", "boolean expected"),
+    "entry-number": (lambda d: d["edges"][0]["weight"].__setitem__(2, 0.5),
+                     "$.edges[0].weight[2]", "object expected"),
+}
+_MORE_SCHEMA_CASES.update(
+    (f"missing-{key}", (lambda d, key=key: d.pop(key), f"$.{key}", "missing field"))
+    for key in ("mode", "name", "scale", "vertices", "edges"))
+_MORE_SCHEMA_CASES.update(
+    (f"missing-vertex-{key}", (lambda d, key=key: d["vertices"][0].pop(key),
+                               f"$.vertices[0].{key}", "missing field"))
+    for key in ("id", "label", "membership"))
+_MORE_SCHEMA_CASES.update(
+    (f"missing-edge-{key}", (lambda d, key=key: d["edges"][0].pop(key),
+                             f"$.edges[0].{key}", "missing field"))
+    for key in ("src", "dst", "weight"))
+
+
 class TestFromJson:
     def test_serialized_fixture_reproduces_tensor(self, s1_net):
         rebuilt = from_json(to_json(s1_net))
@@ -95,38 +185,22 @@ class TestFromJson:
         assert info.value.path == "$"
         assert "nested too deeply" in info.value.message
 
-    @pytest.mark.parametrize("mutate,path", [
-        (lambda d: d.update(mode=3), "$.mode"),
-        (lambda d: d.update(mode="XXX"), "$.mode"),
-        (lambda d: d.update(name=None), "$.name"),
-        (lambda d: d.update(scale=[3, 2]), "$.scale"),
-        (lambda d: d.update(scale=[3, 0, 1]), "$.scale[1]"),
-        (lambda d: d.update(vertices={}), "$.vertices"),
-        (lambda d: d["vertices"][0].update(id="zero"), "$.vertices[0].id"),
-        (lambda d: d["vertices"][0].update(label=4), "$.vertices[0].label"),
-        (lambda d: d["vertices"][0].update(label="not a word"),
-         "$.vertices[0].label"),
-        (lambda d: d["vertices"][1].update(label="night"), "$.vertices[1].label"),
-        (lambda d: d["vertices"][0].update(membership=[{"d": 1}, {"d": 1}]),
-         "$.vertices[0].membership"),
-        (lambda d: d["vertices"][0]["membership"].__setitem__(1, {"x": 1}),
-         "$.vertices[0].membership[1]"),
-        (lambda d: d["vertices"][0]["membership"].__setitem__(0, {"d": 99.0}),
-         "$.vertices[0].membership[0]"),
-        (lambda d: d["vertices"][0]["membership"].__setitem__(2, {"i": 1.5}),
-         "$.vertices[0].membership[2]"),
-        (lambda d: d["edges"][0].update(dst=77), "$.edges[0].dst"),
-        (lambda d: d["edges"][0].update(dst=0), "$.edges[0]"),  # loop
-        (lambda d: d["edges"][1].update(src=0, dst=1), "$.edges[1]"),  # duplicate
-        (lambda d: d["edges"][0]["weight"].__setitem__(0, {"d": 50}),
-         "$.edges[0].weight[0]"),
-    ])
-    def test_schema_violations_report_paths(self, s1_net, mutate, path):
+    @pytest.mark.parametrize(
+        "mutate,path,message",
+        _SCHEMA_CASES + list(_MORE_SCHEMA_CASES.values()),
+        ids=[f"<lambda>-{path}" for _, path, _ in _SCHEMA_CASES]
+        + list(_MORE_SCHEMA_CASES))
+    def test_schema_violations_report_paths(self, s1_net, mutate, path, message):
         doc = json.loads(to_json(s1_net))
         mutate(doc)
         with pytest.raises(SchemaError) as info:
             from_json(json.dumps(doc))
-        assert info.value.path == path
+        assert (info.value.path, info.value.message) == (path, message)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(SchemaError) as info:
+            from_json("[]")
+        assert (info.value.path, info.value.message) == ("$", "object expected")
 
     def test_undirected_document_rejected(self, s1_net):
         doc = json.loads(to_json(s1_net))
@@ -158,6 +232,29 @@ class TestFromJson:
                "edges": []}
         net = from_json(json.dumps(doc))
         assert not net.vertices[0].indeterminate
+
+    def test_optional_edge_fields_default(self):
+        doc = {"mode": "FNSN", "name": "x", "scale": [3, 2, 1], "directed": True,
+               "vertices": [{"id": 7, "label": label,
+                             "membership": [{"d": 0}, {"d": 0}, {"d": 0}]}
+                            for label in ("a", "b")],
+               "edges": [{"src": 7, "dst": 7, "weight": [{"d": 1}, {"d": 0}, {"d": 0}]}]}
+        doc["vertices"][1]["id"] = -3
+        doc["edges"][0]["dst"] = -3
+        (edge,) = from_json(json.dumps(doc)).edges
+        assert (edge.src, edge.dst, edge.label, edge.indeterminate) == (0, 1, "", False)
+
+    def test_negative_zero_degree_loads_as_zero(self):
+        def text(zero):
+            return json.dumps({
+                "mode": "PFNSN", "name": "z", "scale": [3, 2, 1],
+                "vertices": [{"id": 0, "label": "a",
+                              "membership": [{"d": zero}, {"d": 0}, {"d": 1}]}],
+                "edges": []})
+        negative, positive = from_json(text(-0.0)), from_json(text(0.0))
+        assert '"d": -0.0' in text(-0.0)
+        assert negative == positive
+        assert to_json(negative) == to_json(positive)
 
 
 class TestToDot:
