@@ -104,6 +104,9 @@ class NeutroValue:
     indeterminate: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.magnitude) is bool or type(self.indeterminate) is not bool:
+            raise TypeError(f"a degree must be a number and indeterminate a "
+                            f"bool, got {self.magnitude!r} and {self.indeterminate!r}")
         # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
         # alike, and keeps any other float object without copying it
         object.__setattr__(self, "magnitude", float(self.magnitude) or 0.0)
@@ -113,12 +116,12 @@ class NeutroValue:
 
     @classmethod
     def determinate(cls, value: float) -> "NeutroValue":
-        return cls(float(value))
+        return cls(value)
 
     @classmethod
     def indeterminacy(cls, coefficient: float = 1.0) -> "NeutroValue":
         """A scaled indeterminacy; bare I is coefficient 1.0."""
-        return cls(float(coefficient), indeterminate=True)
+        return cls(coefficient, indeterminate=True)
 
     @property
     def is_zero(self) -> bool:
@@ -174,7 +177,7 @@ class ChannelTriple:
         return self.c1.indeterminate or self.c2.indeterminate or self.c3.indeterminate
 
     def __str__(self) -> str:
-        return "({}, {}, {})".format(*(str(v) for v in self))
+        return f"({self.c1}, {self.c2}, {self.c3})"
 
 
 TripleLike = Union[ChannelTriple, tuple]
@@ -318,6 +321,8 @@ class SemanticNet:
         if not (isinstance(mode, NetMode) and isinstance(name, str)):
             raise TypeError(f"mode must be a NetMode and name a str, "
                             f"got {mode!r} and {name!r}")
+        if isinstance(scale, (str, bytes)):
+            raise TypeError(f"scale must be 3 numbers, got {scale!r}")
         scale = tuple(float(s) for s in scale)
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
@@ -378,12 +383,14 @@ class SemanticNet:
     def add_vertex(self, label: str, membership: TripleLike,
                    indeterminate: bool = False) -> int:
         """Append a vertex and return its id (the insertion index)."""
+        if type(indeterminate) is not bool:
+            raise TypeError(f"indeterminate must be a bool, got {indeterminate!r}")
         if not is_valid_label(label):
             raise _structure_error("label", label)
         if label in self._by_label:
             raise _structure_error("duplicate label", label)
         vid = len(self._vertices)
-        vertex = Vertex(vid, label, self._in_scale(membership), bool(indeterminate))
+        vertex = Vertex(vid, label, self._in_scale(membership), indeterminate)
         self._vertices.append(vertex)
         self._by_label[label] = vertex
         return vid
@@ -391,15 +398,21 @@ class SemanticNet:
     def add_edge(self, src: int, dst: int, weight: TripleLike, label: str = "",
                  indeterminate: bool = False) -> Edge:
         """Append a directed edge src -> dst and return it."""
+        if not (isinstance(label, str) and type(indeterminate) is bool):
+            raise TypeError(f"label must be a str and indeterminate a bool, "
+                            f"got {label!r} and {indeterminate!r}")
         source = self.vertex(src)
         target = self.vertex(dst)
         if src == dst:
             raise _structure_error("loop", source.label)
         if self.has_edge(src, dst):
             raise _structure_error("duplicate edge", source.label, target.label)
-        edge = Edge(src, dst, self._in_scale(weight), label, bool(indeterminate))
+        # the ids of the vertices found, so a True or an int subclass given
+        # as ``src`` or ``dst`` is stored as the plain int it stands for
+        edge = Edge(source.id, target.id, self._in_scale(weight), label,
+                    indeterminate)
         self._edges.append(edge)
-        self._out.setdefault(src, {})[dst] = edge
+        self._out.setdefault(edge.src, {})[edge.dst] = edge
         return edge
 
     # -- lookup -----------------------------------------------------------

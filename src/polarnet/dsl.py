@@ -61,7 +61,8 @@ _EDGE_LINE = re.compile(
     rf"[ \t]*edge[ \t]+({_IDENT})[ \t]*->[ \t]*({_IDENT})"
     rf'(?:[ \t]+label[ \t]*"{_QUOTED_BODY}")?[ \t]*{_TRIPLE}{_TAIL}', re.ASCII)
 _ESCAPE_SEQ = re.compile(r"\\(.)")
-_UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_UNESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                            "\t": "\\t"})
 
 
 class ParseError(Exception):
@@ -385,7 +386,7 @@ def parse_net(source: str) -> SemanticNet:
 
 
 def _quote(text: str) -> str:
-    return '"' + "".join(_UNESCAPES.get(c, c) for c in text) + '"'
+    return '"' + text.translate(_UNESCAPES) + '"'
 
 
 def format_net(net: SemanticNet) -> str:

@@ -1,7 +1,9 @@
 """Lossless JSON serialization and DOT rendering of semantic nets.
 
-The JSON document layout (key order is fixed so equal nets give byte-equal
-output)::
+``to_json`` writes the document as ``json.dumps(doc, indent=2)`` would, with
+keys in a fixed order so equal nets give byte-equal output: two-space
+indents, ASCII only with ``\\uXXXX`` escapes, and one trailing newline.  In
+short::
 
     { "mode": "FNSN|PNSN|PFNSN", "name": "...", "scale": [3.0, 2.0, 1.0],
       "vertices": [ { "id": 0, "label": "night", "indeterminate": false,
@@ -19,13 +21,13 @@ Optional: ``indeterminate`` (default false), an edge's ``label`` (default
 renumbers them by insertion position.  Documents are untrusted on input.
 The loader checks the schema and resolves vertex ids; core checks every net
 invariant, and its error is reported at the JSON path it concerns, like
-``$.edges[0].weight[1]``, with the same message as the ``.pnet`` parser
-gives.
+``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.
 """
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .analysis import normalize
@@ -48,39 +50,41 @@ class SchemaError(ValueError):
         return type(self), (self.path, self.message)
 
 
-def _encode_value(value: NeutroValue) -> dict[str, float]:
-    if value.indeterminate:
-        return {"i": value.magnitude}
-    return {"d": value.magnitude}
+def _entries(triple: ChannelTriple) -> str:
+    """The ``membership`` or ``weight`` array of a vertex or an edge."""
+    a, b, c = triple.c1, triple.c2, triple.c3
+    return (f'[\n        {{\n          "{"i" if a.indeterminate else "d"}": '
+            f'{a.magnitude!r}\n        }},\n        {{\n          '
+            f'"{"i" if b.indeterminate else "d"}": {b.magnitude!r}\n        }},'
+            f'\n        {{\n          "{"i" if c.indeterminate else "d"}": '
+            f'{c.magnitude!r}\n        }}\n      ]')
+
+
+def _array(items: str) -> str:
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
 def to_json(net: SemanticNet) -> str:
-    """Serialize a net to its canonical JSON document."""
-    doc: dict[str, Any] = {
-        "mode": net.mode.value,
-        "name": net.name,
-        "scale": list(net.scale),
-        "vertices": [
-            {
-                "id": v.id,
-                "label": v.label,
-                "indeterminate": v.indeterminate,
-                "membership": [_encode_value(x) for x in v.membership],
-            }
-            for v in net.vertices
-        ],
-        "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "label": e.label,
-                "indeterminate": e.indeterminate,
-                "weight": [_encode_value(x) for x in e.weight],
-            }
-            for e in net.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Serialize a net to its canonical JSON document.  Construction keeps
+    every number finite; a non-finite scale raises ``ValueError``."""
+    scale = net.scale
+    if not all(map(math.isfinite, scale)):
+        raise ValueError(f"JSON cannot write the non-finite scale {scale!r}")
+    vertices = ",\n".join(
+        f'    {{\n      "id": {v.id},\n      "label": {_quote(v.label)},\n'
+        f'      "indeterminate": {"true" if v.indeterminate else "false"},\n'
+        f'      "membership": {_entries(v.membership)}\n    }}'
+        for v in net._vertices)
+    edges = ",\n".join(
+        f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
+        f'      "label": {_quote(e.label)},\n'
+        f'      "indeterminate": {"true" if e.indeterminate else "false"},\n'
+        f'      "weight": {_entries(e.weight)}\n    }}'
+        for e in net._edges)
+    return (f'{{\n  "mode": "{net.mode.value}",\n  "name": {_quote(net.name)},\n'
+            f'  "scale": [\n    {scale[0]!r},\n    {scale[1]!r},\n'
+            f'    {scale[2]!r}\n  ],\n  "vertices": {_array(vertices)},\n'
+            f'  "edges": {_array(edges)}\n}}\n')
 
 
 _MISSING = object()
@@ -223,6 +227,7 @@ def to_dot(net: SemanticNet) -> str:
     Vertices show their label and normalized triple (two decimals);
     indeterminate vertices are dotted and prefixed N_1, N_2, ...  Edges show
     the relation word and raw degree triple; indeterminate edges are dotted.
+    Vertex labels go unescaped: they are identifiers, with nothing to escape.
     """
     out = ["digraph {"] if not net.name else [
         f'digraph "{_dot_escape(net.name)}" {{']
@@ -230,21 +235,16 @@ def to_dot(net: SemanticNet) -> str:
     vertices, scale = net.vertices, net.scale
     for v in vertices:
         norm = normalize(v.membership, scale)
-        text = _dot_escape(v.label)
-        attrs = []
+        text, style = v.label, ""
         if v.indeterminate:
             indeterminate_count += 1
-            text = f"N_{indeterminate_count} {text}"
-        attrs.append(f'label="{text}\\n({norm.p:.2f}, {norm.u:.2f}, {norm.n:.2f})"')
-        if v.indeterminate:
-            attrs.append("style=dotted")
-        out.append(f'  "{_dot_escape(v.label)}" [{", ".join(attrs)}];')
+            text, style = f"N_{indeterminate_count} {text}", ", style=dotted"
+        out.append(f'  "{v.label}" [label="{text}\\n({norm.p:.2f}, {norm.u:.2f}, '
+                   f'{norm.n:.2f})"{style}];')
     for e in net.edges:
         text = _dot_escape(f"{e.label} {e.weight}" if e.label else str(e.weight))
-        attrs = [f'label="{text}"']
-        if e.indeterminate:
-            attrs.append("style=dotted")
-        out.append(f'  "{_dot_escape(vertices[e.src].label)}" -> '
-                   f'"{_dot_escape(vertices[e.dst].label)}" [{", ".join(attrs)}];')
+        style = ", style=dotted" if e.indeterminate else ""
+        out.append(f'  "{vertices[e.src].label}" -> "{vertices[e.dst].label}" '
+                   f'[label="{text}"{style}];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -303,6 +303,11 @@ def test_triple_flags_agree_with_their_entries(triple):
     assert triple.has_indeterminate == any(v.indeterminate for v in triple)
 
 
+@given(triples((3.0, 2.0, 1.0), crisp=False))
+def test_triple_str_joins_the_str_of_its_entries(triple):
+    assert str(triple) == "({}, {}, {})".format(*(str(v) for v in triple))
+
+
 def _rebuilt(net, name=None):
     """An equal net built afresh through ``add_vertex``/``add_edge``, or one
     that differs only by ``name``."""
@@ -413,6 +418,48 @@ def test_raw_net_back_door_is_closed():
 def test_constructor_rejects_mode_or_name_of_wrong_type(mode, name):
     with pytest.raises(TypeError, match="mode must be a NetMode and name a str"):
         SemanticNet(mode, name)
+
+
+@pytest.mark.parametrize("scale", ["321", b"321"], ids=["str", "bytes"])
+def test_constructor_rejects_a_string_scale(scale):
+    with pytest.raises(TypeError, match="scale must be 3 numbers"):
+        SemanticNet(NetMode.FNSN, "x", scale)
+
+
+@pytest.mark.parametrize("method,args", [
+    ("add_vertex", ("c", (True, 0, 0))),
+    ("add_vertex", ("c", (0, 0, False))),
+    ("add_vertex", ("c", (0, 0, 0), "no")),
+    ("add_vertex", ("c", (0, 0, 0), 1)),
+    ("add_edge", (0, 1, (0, 0, 0), 5)),
+    ("add_edge", (0, 1, (0, 0, 0), "", "no")),
+    ("add_edge", (0, 1, (True, 0, 0))),
+], ids=["vertex-degree-true", "vertex-degree-false", "vertex-flag-str",
+        "vertex-flag-int", "edge-label-int", "edge-flag-str", "edge-degree-true"])
+def test_construction_rejects_values_of_wrong_type(method, args):
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    before = _rebuilt(net)
+    with pytest.raises(TypeError):
+        getattr(net, method)(*args)
+    assert net == before
+
+
+@pytest.mark.parametrize("args", [(True, 0.5), (0.5, 1), (0.5, "no")])
+def test_entry_rejects_a_bool_degree_or_a_non_bool_flag(args):
+    with pytest.raises(TypeError):
+        NeutroValue(*args)
+
+
+def test_edge_endpoints_are_stored_as_the_vertex_ids():
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    edge = net.add_edge(True, False, (1, 0, 0))
+    assert (edge.src, edge.dst) == (1, 0)
+    assert type(edge.src) is int and type(edge.dst) is int
+    assert net.out_edges(1) == [edge] and net.has_edge(1, 0)
 
 
 def test_copy_is_independent_of_its_original():

@@ -3,7 +3,8 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarnet import fixtures
 from polarnet.core import NetError, NetMode, SemanticNet
@@ -299,6 +300,82 @@ class TestToDot:
 @given(nets())
 def test_json_roundtrip_equality(net):
     assert from_json(to_json(net)) == net
+
+
+def _ref_entry(value):
+    return {"i": value.magnitude} if value.indeterminate else {"d": value.magnitude}
+
+
+def ref_doc(net):
+    """The document as the dict that ``json.dumps(..., indent=2)`` wrote
+    before ``to_json`` wrote the layout itself: the reference for it."""
+    return {
+        "mode": net.mode.value,
+        "name": net.name,
+        "scale": list(net.scale),
+        "vertices": [
+            {
+                "id": v.id,
+                "label": v.label,
+                "indeterminate": v.indeterminate,
+                "membership": [_ref_entry(x) for x in v.membership],
+            }
+            for v in net.vertices
+        ],
+        "edges": [
+            {
+                "src": e.src,
+                "dst": e.dst,
+                "label": e.label,
+                "indeterminate": e.indeterminate,
+                "weight": [_ref_entry(x) for x in e.weight],
+            }
+            for e in net.edges
+        ],
+    }
+
+
+# Characters that ensure_ascii escapes: quote, backslash, control
+# characters, DEL, U+2028/U+2029, non-ASCII and an astral character, which
+# is written as a surrogate pair.
+_ESCAPED = '"\\\x00\x08\t\n\x1f\x7f\u2028\u2029é\U0001F600'
+_ANY_TEXT = st.text(st.one_of(st.sampled_from(_ESCAPED), st.characters()))
+
+
+def _with_text(net, name, labels):
+    """``net`` rebuilt with another name and edge labels."""
+    out = SemanticNet(net.mode, name, net.scale)
+    for v in net.vertices:
+        out.add_vertex(v.label, v.membership, v.indeterminate)
+    for e, label in zip(net.edges, labels):
+        out.add_edge(e.src, e.dst, e.weight, label, e.indeterminate)
+    return out
+
+
+@st.composite
+def _nets_with_any_text(draw):
+    net = draw(nets())
+    return _with_text(net, draw(_ANY_TEXT),
+                      draw(st.lists(_ANY_TEXT, min_size=len(net.edges),
+                                    max_size=len(net.edges))))
+
+
+def _vertices_only():
+    net = SemanticNet(NetMode.PNSN, "v")
+    net.add_vertex("a", (3, 0, 0), True)
+    net.add_vertex("b", (0, 0, 0))
+    return net
+
+
+@given(st.one_of(nets(), _nets_with_any_text()))
+@example(SemanticNet(NetMode.FNSN, ""))
+@example(_vertices_only())
+@example(_with_text(fixtures.s1(), _ESCAPED, [_ESCAPED, "", "\U0010FFFF"]))
+@example(fixtures.s2())
+@example(fixtures.s3())
+def test_to_json_writes_the_stdlib_indent_2_layout(net):
+    assert to_json(net) == json.dumps(ref_doc(net), indent=2,
+                                      allow_nan=False) + "\n"
 
 
 @given(nets())
