@@ -136,15 +136,13 @@ def polar_select(net: SemanticNet, vertex_id: int,
     return SelectionResult(ranked=tuple(item[1] for item in entries))
 
 
-def net_polarity(net: SemanticNet,
-                 threshold: float = DEFAULT_LABEL_THRESHOLD,
-                 ) -> tuple[NormalizedTriple, Polarity]:
+def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     """Summarize a whole net as one normalized triple and a polarity label.
 
     The summary is the channel-wise mean over the normalized memberships of
     all vertices and the normalized weights of all edges.  The label is
-    positive when the summary score exceeds ``threshold``, negative below
-    ``-threshold``, else neutral.
+    positive when the summary score exceeds ``DEFAULT_LABEL_THRESHOLD``,
+    negative below its negation, else neutral.
     """
     vertices, scale = net.vertices, net.scale
     if not vertices:
@@ -159,9 +157,9 @@ def net_polarity(net: SemanticNet,
         has_indeterminacy=any(t.has_indeterminacy for t in triples),
     )
     score = polarity_score(summary)
-    if score > threshold:
+    if score > DEFAULT_LABEL_THRESHOLD:
         label = Polarity.POSITIVE
-    elif score < -threshold:
+    elif score < -DEFAULT_LABEL_THRESHOLD:
         label = Polarity.NEGATIVE
     else:
         label = Polarity.NEUTRAL

@@ -16,7 +16,7 @@ enforces entry domain and range, label syntax, unique labels, no loops and
 no duplicate edges; it raises a :class:`NetError` whose ``kind`` and
 ``channel`` say which invariant broke and where, and the ``.pnet`` and JSON
 loaders turn those into locations in their input without checking again.
-PNSN crispness depends on the mode, so ``validate`` reports it instead.
+PNSN crispness depends on the mode, so ``validate`` alone checks it.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ __all__ = [
     "entry_problem",
     "fmt_number",
     "is_valid_label",
-    "scale_error",
 ]
 
 #: Channel maxima implied by "complete" memberships in the example nets:
@@ -57,10 +56,9 @@ class NetError(ValueError):
     """Raised when a construction step would break a net invariant.
 
     ``kind`` names the invariant: "scale", "coefficient", "non-finite",
-    "range", "non-crisp" (reported by ``validate`` only), "label",
-    "duplicate label", "loop" or "duplicate edge"; it is None for other
-    errors, such as an unknown vertex id.  ``channel`` is the 1-based channel
-    of a scale or entry problem once it is known, else None.
+    "range", "label", "duplicate label", "loop" or "duplicate edge"; it is
+    None for other errors, such as an unknown vertex id.  ``channel`` is the
+    1-based channel of a scale or entry problem once it is known, else None.
     """
 
     def __init__(self, message: str, kind: str | None = None,
@@ -104,12 +102,14 @@ class NeutroValue:
     indeterminate: bool = False
 
     def __post_init__(self) -> None:
-        if type(self.magnitude) is bool or type(self.indeterminate) is not bool:
+        m = self.magnitude
+        if (not isinstance(m, (int, float)) or type(m) is bool
+                or type(self.indeterminate) is not bool):
             raise TypeError(f"a degree must be a number and indeterminate a "
                             f"bool, got {self.magnitude!r} and {self.indeterminate!r}")
         # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
         # alike, and keeps any other float object without copying it
-        object.__setattr__(self, "magnitude", float(self.magnitude) or 0.0)
+        object.__setattr__(self, "magnitude", float(m) or 0.0)
         problem = entry_problem(None, self)
         if problem:
             raise problem
@@ -138,12 +138,6 @@ class NeutroValue:
 ValueLike = Union[NeutroValue, float, int]
 
 
-def _coerce(value: ValueLike) -> NeutroValue:
-    if isinstance(value, NeutroValue):
-        return value
-    return NeutroValue.determinate(value)
-
-
 @dataclass(frozen=True, slots=True)
 class ChannelTriple:
     """Three channel entries, read as (t, i, f) or (p, u, n) by net mode."""
@@ -155,7 +149,8 @@ class ChannelTriple:
     @classmethod
     def of(cls, c1: ValueLike, c2: ValueLike, c3: ValueLike) -> "ChannelTriple":
         """Build a triple, coercing plain numbers to determinate entries."""
-        return cls(_coerce(c1), _coerce(c2), _coerce(c3))
+        return cls(*[v if isinstance(v, NeutroValue) else NeutroValue(v)
+                     for v in (c1, c2, c3)])
 
     @classmethod
     def zero(cls) -> "ChannelTriple":
@@ -180,12 +175,15 @@ class ChannelTriple:
         return f"({self.c1}, {self.c2}, {self.c3})"
 
 
-TripleLike = Union[ChannelTriple, tuple]
+TripleLike = Union[ChannelTriple, tuple, list]
 
 
 def _coerce_triple(triple: TripleLike) -> ChannelTriple:
     if isinstance(triple, ChannelTriple):
         return triple
+    if not isinstance(triple, (tuple, list)):
+        raise TypeError(f"a channel triple must be a ChannelTriple, tuple or "
+                        f"list, got {triple!r}")
     if len(triple) != 3:
         raise NetError(f"channel triple needs 3 entries, got {len(triple)}")
     return ChannelTriple.of(*triple)
@@ -239,15 +237,16 @@ class Violation:
         return f"{self.severity}: {self.message}"
 
 
-def entry_problem(k: int | None, value: NeutroValue, mx: float = math.inf,
-                  mode: NetMode | None = None) -> NetError | None:
+def entry_problem(k: int | None, value: NeutroValue,
+                  mx: float = math.inf) -> NetError | None:
     """The first problem of ``value`` as the channel ``k`` entry, or None.
 
     An indeterminacy needs a coefficient in (0, 1].  A determinate degree
     must be a finite nonnegative real no larger than the channel maximum
-    ``mx``, and in a PNSN ``mode`` crisp: 0 or ``mx``.  A value checks its
-    own domain with ``k`` None when it is built; ``validate`` passes all of
-    channel, maximum and mode.  A valid entry allocates nothing.
+    ``mx``.  The check is the same in every mode.  A value checks its own
+    domain with ``k`` None when it is built; a net and ``analysis.normalize``
+    pass the channel and its maximum to word a degree above scale.  A valid
+    entry allocates nothing.
     """
     m = value.magnitude
     if value.indeterminate:
@@ -260,9 +259,6 @@ def entry_problem(k: int | None, value: NeutroValue, mx: float = math.inf,
     elif m > mx:
         kind, text = ("range",
                       f"degree {fmt_number(m)} exceeds scale {fmt_number(mx)}")
-    elif mode is NetMode.PNSN and m != 0.0 and m != mx:
-        kind, text = ("non-crisp", f"non-crisp degree {fmt_number(m)} "
-                      f"(PNSN requires 0 or {fmt_number(mx)})")
     else:
         return None
     if k is not None:
@@ -282,14 +278,6 @@ _STRUCTURE_TEXT = {
 def _structure_error(kind: str, *labels: object) -> NetError:
     """The ``kind`` label, loop or duplicate problem, worded for its labels."""
     return NetError(_STRUCTURE_TEXT[kind].format(*labels), kind)
-
-
-def scale_error(k: int, value: float) -> NetError | None:
-    """Why ``value`` cannot be the channel ``k`` scale maximum, or None."""
-    if 0.0 < value < math.inf:
-        return None
-    return NetError(f"channel {k} scale must be positive and finite, "
-                    f"got {fmt_number(value)}", "scale", k)
 
 
 class Order(NamedTuple):
@@ -321,15 +309,17 @@ class SemanticNet:
         if not (isinstance(mode, NetMode) and isinstance(name, str)):
             raise TypeError(f"mode must be a NetMode and name a str, "
                             f"got {mode!r} and {name!r}")
-        if isinstance(scale, (str, bytes)):
+        if not (isinstance(scale, (tuple, list)) and all(
+                isinstance(s, (int, float)) and type(s) is not bool
+                for s in scale)):
             raise TypeError(f"scale must be 3 numbers, got {scale!r}")
-        scale = tuple(float(s) for s in scale)
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
+        scale = tuple(float(s) for s in scale)
         for k, s in enumerate(scale, start=1):
-            problem = scale_error(k, s)
-            if problem:
-                raise problem
+            if not 0.0 < s < math.inf:  # also NaN
+                raise NetError(f"channel {k} scale must be positive and "
+                               f"finite, got {fmt_number(s)}", "scale", k)
         self._mode = mode
         self._name = name
         self._scale = scale
@@ -407,8 +397,8 @@ class SemanticNet:
             raise _structure_error("loop", source.label)
         if self.has_edge(src, dst):
             raise _structure_error("duplicate edge", source.label, target.label)
-        # the ids of the vertices found, so a True or an int subclass given
-        # as ``src`` or ``dst`` is stored as the plain int it stands for
+        # the ids of the vertices found, so an int subclass given as ``src``
+        # or ``dst`` is stored as the plain int it stands for
         edge = Edge(source.id, target.id, self._in_scale(weight), label,
                     indeterminate)
         self._edges.append(edge)
@@ -418,8 +408,9 @@ class SemanticNet:
     # -- lookup -----------------------------------------------------------
 
     def vertex(self, vid: int) -> Vertex:
-        """The vertex with id ``vid``, in O(1)."""
-        if isinstance(vid, int) and 0 <= vid < len(self._vertices):
+        """The vertex with id ``vid``, in O(1); a bool is not a vertex id."""
+        if (isinstance(vid, int) and type(vid) is not bool
+                and 0 <= vid < len(self._vertices)):
             return self._vertices[vid]
         raise NetError(f"unknown vertex id {vid}")
 
@@ -430,32 +421,44 @@ class SemanticNet:
     def out_edges(self, vid: int) -> list[Edge]:
         """Edges leaving ``vid`` in insertion order; O(out-degree)."""
         out = self._out.get(vid)
-        return list(out.values()) if out else []
+        return list(out.values()) if out and type(vid) is not bool else []
 
     def has_edge(self, src: int, dst: int) -> bool:
         """True when an edge src -> dst exists; O(1)."""
-        return dst in self._out.get(src, ())
+        return dst in self._out.get(src, ()) and bool not in (type(src), type(dst))
 
     # -- inspection -------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """Return all well-formedness findings for this net's mode.
+        """Return the findings of this net's mode, per vertex then per edge.
 
-        Construction already enforces every structural invariant and every
-        entry's domain and range, so the findings are PNSN crispness errors
-        and warnings for all-zero-weight edges, which are representable but
-        unrecoverable from the adjacency tensor.
+        Construction enforces every other rule in all modes.  Under PNSN each
+        determinate degree that is neither 0 nor its channel maximum is an
+        error.  In every mode an edge with an all-zero weight, which the
+        adjacency tensor cannot carry, draws a warning after its errors.
         """
+        scale = self._scale
+        crisp = self._mode is NetMode.PNSN
+
+        def non_crisp(triple: ChannelTriple) -> list[str]:
+            return [f"channel {k} non-crisp degree {fmt_number(val.magnitude)} "
+                    f"(PNSN requires 0 or {fmt_number(mx)})"
+                    for k, (val, mx) in enumerate(zip(triple, scale), start=1)
+                    if val.magnitude not in (0.0, mx) and not val.indeterminate]
+
         out: list[Violation] = []
-        for v in self._vertices:
-            out.extend(self._entry_violations(f"vertex {v.label!r}", v.membership))
+        if crisp:
+            for v in self._vertices:
+                out += [Violation(f"vertex {v.label!r}: {problem}")
+                        for problem in non_crisp(v.membership)]
         for e in self._edges:
-            where = f"edge {e.src} -> {e.dst}"
-            out.extend(self._entry_violations(where, e.weight))
+            if crisp:
+                out += [Violation(f"edge {e.src} -> {e.dst}: {problem}")
+                        for problem in non_crisp(e.weight)]
             if e.weight.is_zero:
                 out.append(Violation(
-                    f"{where} has an all-zero weight and cannot be "
-                    "reconstructed from the adjacency tensor",
+                    f"edge {e.src} -> {e.dst} has an all-zero weight and "
+                    "cannot be reconstructed from the adjacency tensor",
                     severity="warning"))
         return out
 
@@ -488,20 +491,12 @@ class SemanticNet:
     def _in_scale(self, triple: TripleLike) -> ChannelTriple:
         """``triple`` as a ChannelTriple; raises its first degree above scale.
 
-        Values check their own coefficient and finiteness when built, and
-        crispness is left to ``validate``, so one compare per channel is the
-        whole construction check; ``entry_problem`` words a failure.
+        Values check their own type, coefficient and finiteness when built,
+        and crispness is left to ``validate``, so one compare per channel is
+        the whole construction check; ``entry_problem`` words a failure.
         """
         triple = _coerce_triple(triple)
         for k, (val, mx) in enumerate(zip(triple, self._scale), start=1):
             if val.magnitude > mx and not val.indeterminate:
                 raise entry_problem(k, val, mx)
         return triple
-
-    def _entry_violations(self, what: str, triple: ChannelTriple) -> list[Violation]:
-        out: list[Violation] = []
-        for k, (val, mx) in enumerate(zip(triple, self._scale), start=1):
-            problem = entry_problem(k, val, mx, self.mode)
-            if problem:
-                out.append(Violation(f"{what}: {problem}"))
-        return out

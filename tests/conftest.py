@@ -2,8 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from polarnet import fixtures
-
+import strategies as fixtures
 from strategies import FIXTURES_DIR
 
 

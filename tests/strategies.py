@@ -1,5 +1,6 @@
 """Shared hypothesis strategies: valid semantic nets, and ``.pnet`` and JSON
-texts near them for differential and totality properties."""
+texts near them for differential and totality properties; and the three
+example nets that the fixture files mirror."""
 from __future__ import annotations
 
 import json
@@ -131,6 +132,57 @@ def nets(draw, modes: list[NetMode] | None = None, max_vertices: int = 6,
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_TEXTS = [path.read_text(encoding="utf-8")
                  for path in sorted(FIXTURES_DIR.glob("*.pnet"))]
+
+
+# The three example nets built through the library, mirrored by the
+# fixtures/*.pnet files: S1 is fuzzy neutrosophic (weather at night), S2 is
+# polar neutrosophic with crisp degrees (parts of an atom), S3 is polar fuzzy
+# neutrosophic (Bob's health).
+
+def s1() -> SemanticNet:
+    """FNSN: night is fairly cold, somewhat hazy, not raining."""
+    net = SemanticNet(NetMode.FNSN, "S1")
+    night = net.add_vertex("night", (3.0, 0, 0))
+    cold = net.add_vertex("cold", (3.0, 0, 0))
+    hazy = net.add_vertex("hazy", (3.0, 0, 0))
+    raining = net.add_vertex("raining", (0, 0, 1.0))
+    net.add_edge(night, cold, (2.4, 0, 0), label="rather")
+    net.add_edge(night, hazy, (0, 1.4, 0), label="somewhat")
+    net.add_edge(night, raining, (0, 0, 1.0), label="not")
+    return net
+
+
+def s2() -> SemanticNet:
+    """PNSN: an atom has protons, neutrons, electrons with crisp charges."""
+    net = SemanticNet(NetMode.PNSN, "S2")
+    protons = net.add_vertex("protons", (3.0, 0, 0))
+    positive = net.add_vertex("positive", (3.0, 0, 0))
+    neutrons = net.add_vertex("neutrons", (0, 2.0, 0))
+    neutral = net.add_vertex("neutral", (0, 2.0, 0))
+    electrons = net.add_vertex("electrons", (0, 0, 1.0))
+    negative = net.add_vertex("negative", (0, 0, 1.0))
+    atom = net.add_vertex("atom", (0, 2.0, 0))
+    net.add_edge(protons, positive, (0, 2.0, 0), label="are")
+    net.add_edge(neutrons, neutral, (0, 2.0, 0), label="are")
+    net.add_edge(electrons, negative, (0, 2.0, 0), label="are")
+    net.add_edge(atom, protons, (0, 2.0, 0), label="has")
+    net.add_edge(atom, neutrons, (0, 2.0, 0), label="has")
+    net.add_edge(atom, electrons, (0, 2.0, 0), label="has")
+    return net
+
+
+def s3() -> SemanticNet:
+    """PFNSN: Bob is quite healthy, rather plump, slightly anaemic."""
+    net = SemanticNet(NetMode.PFNSN, "S3")
+    bob = net.add_vertex("Bob", (3.0, 0, 0))
+    healthy = net.add_vertex("healthy", (3.0, 0, 0))
+    plump = net.add_vertex("plump", (3.0, 0, 0))
+    anaemic = net.add_vertex("anaemic", (0, 0, 1.0))
+    net.add_edge(bob, healthy, (2.7, 0, 0), label="quite")
+    net.add_edge(bob, plump, (0, 1.4, 0), label="rather")
+    net.add_edge(bob, anaemic, (0, 0, 0.3), label="slightly")
+    return net
+
 
 # Replacements for one number or label of a statement line: values the
 # parser must reject or read differently, and labels that are unknown,

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from polarnet import fixtures
 from polarnet.analysis import Polarity, net_polarity, polar_select, polarity_score
 from polarnet.cli import main
 from polarnet.core import ChannelTriple, NetMode, NeutroValue, SemanticNet
@@ -17,6 +16,7 @@ from polarnet.dsl import ParseError, format_net, parse_net
 from polarnet.io import from_json, to_json
 from polarnet.matrix import adjacency_tensor, from_matrices, membership_matrix
 
+import strategies as fixtures
 from strategies import nets, scaled_copy, scales_exactly, triples
 
 TOL = 1e-9

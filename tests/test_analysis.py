@@ -152,10 +152,6 @@ class TestNetPolarity:
         with pytest.raises(NetError, match="empty"):
             net_polarity(SemanticNet(NetMode.PFNSN, "x"))
 
-    def test_threshold_is_configurable(self, s1_net):
-        summary, label = net_polarity(s1_net, threshold=2.0)
-        assert label is Polarity.NEUTRAL
-
 
 # powers of two keep degree/scale quotients bit-identical
 @given(nets(min_vertices=1), st.integers(-3, 6), st.sampled_from(list(Polarity)))

@@ -3,10 +3,10 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polarnet import fixtures
+from polarnet.analysis import Polarity, polar_select
 from polarnet.core import (
     ChannelTriple,
     Edge,
@@ -15,9 +15,12 @@ from polarnet.core import (
     NeutroValue,
     SemanticNet,
     Vertex,
+    Violation,
+    fmt_number,
 )
 from polarnet.dsl import format_net, parse_net
 
+import strategies as fixtures
 from strategies import nets, triples
 
 
@@ -139,14 +142,6 @@ class TestValidate:
 
     def test_fuzzy_mode_accepts_same_degrees(self, s3_net):
         assert s3_net.validate() == []
-
-    def test_out_of_domain_coefficient_reported(self):
-        hacked = NeutroValue.indeterminacy(0.5)
-        object.__setattr__(hacked, "magnitude", 1.5)
-        net = SemanticNet(NetMode.FNSN, "x")
-        net.add_vertex("a", ChannelTriple(hacked, hacked, hacked))
-        messages = [v.message for v in net.validate()]
-        assert any("outside (0, 1]" in m for m in messages)
 
     def test_out_of_range_degree_reported(self):
         net = SemanticNet(NetMode.FNSN, "x")
@@ -308,10 +303,11 @@ def test_triple_str_joins_the_str_of_its_entries(triple):
     assert str(triple) == "({}, {}, {})".format(*(str(v) for v in triple))
 
 
-def _rebuilt(net, name=None):
+def _rebuilt(net, name=None, mode=None):
     """An equal net built afresh through ``add_vertex``/``add_edge``, or one
-    that differs only by ``name``."""
-    twin = SemanticNet(net.mode, net.name if name is None else name, net.scale)
+    that differs only by ``name`` or ``mode``."""
+    twin = SemanticNet(net.mode if mode is None else mode,
+                       net.name if name is None else name, net.scale)
     for v in net.vertices:
         twin.add_vertex(v.label, v.membership, v.indeterminate)
     for e in net.edges:
@@ -452,14 +448,73 @@ def test_entry_rejects_a_bool_degree_or_a_non_bool_flag(args):
         NeutroValue(*args)
 
 
+class _Id(int):
+    """An int subclass, as a caller's own id type might be."""
+
+
 def test_edge_endpoints_are_stored_as_the_vertex_ids():
     net = SemanticNet(NetMode.FNSN, "x")
     net.add_vertex("a", (0, 0, 0))
     net.add_vertex("b", (0, 0, 0))
-    edge = net.add_edge(True, False, (1, 0, 0))
+    edge = net.add_edge(_Id(1), _Id(0), (1, 0, 0))
     assert (edge.src, edge.dst) == (1, 0)
     assert type(edge.src) is int and type(edge.dst) is int
     assert net.out_edges(1) == [edge] and net.has_edge(1, 0)
+
+
+def test_a_bool_is_not_a_vertex_id():
+    net = fixtures.s1()  # night -> cold is edge 0 -> 1
+    before = _rebuilt(net)
+    for flag in (False, True):
+        with pytest.raises(NetError, match=f"^unknown vertex id {flag}$"):
+            net.vertex(flag)
+        with pytest.raises(NetError, match=f"^unknown vertex id {flag}$"):
+            polar_select(net, flag, Polarity.POSITIVE)
+        assert net.out_edges(flag) == []
+    for src, dst in [(False, 1), (0, True), (False, True)]:
+        assert not net.has_edge(src, dst)
+        with pytest.raises(NetError, match="^unknown vertex id"):
+            net.add_edge(src, dst, (1, 0, 0))
+    assert net == before and net.has_edge(0, 1) and net.out_edges(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: NeutroValue("2"),
+    lambda net: NeutroValue.indeterminacy("0.5"),
+    lambda net: ChannelTriple.of("1", 0, 0),
+    lambda net: net.add_vertex("c", ("1", 0, 0)),
+    lambda net: net.add_vertex("c", ("zz", 0, 0)),
+    lambda net: net.add_vertex("c", {1.0: 0, 0.0: 1, 2.0: 2}),
+    lambda net: net.add_vertex("c", "100"),
+    lambda net: net.add_edge(0, 1, (0, None, 0)),
+    lambda net: net.add_edge(0, 1, range(3)),
+    lambda net: SemanticNet(NetMode.FNSN, "y", ("3", "2", "1")),
+    lambda net: SemanticNet(NetMode.FNSN, "y", (True, 2, 1)),
+    lambda net: SemanticNet(NetMode.FNSN, "y", {3.0: 0, 2.0: 0, 1.0: 0}),
+    lambda net: SemanticNet(NetMode.FNSN, "y", iter((3, 2, 1))),
+], ids=["value-str", "coefficient-str", "triple-of-str", "vertex-degree-str",
+        "vertex-degree-word", "vertex-dict", "vertex-str", "edge-degree-none",
+        "edge-range", "scale-str-items", "scale-bool-item", "scale-dict",
+        "scale-iterator"])
+def test_values_of_the_wrong_type_raise_type_error(call):
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    before = _rebuilt(net)
+    with pytest.raises(TypeError):
+        call(net)
+    assert net == before
+
+
+def test_number_subclasses_are_stored_as_plain_floats():
+    class Degree(float):
+        pass
+
+    net = SemanticNet(NetMode.FNSN, "x", [_Id(3), Degree(2.0), 1])
+    net.add_vertex("a", [Degree(2.5), _Id(1), 0])
+    assert net.scale == (3.0, 2.0, 1.0)
+    assert all(type(s) is float for s in net.scale)
+    assert [type(v.magnitude) for v in net.vertex(0).membership] == [float] * 3
 
 
 def test_copy_is_independent_of_its_original():
@@ -482,6 +537,60 @@ def test_copy_is_independent_of_its_original():
 
 def test_negative_zero_degree_is_stored_as_zero():
     assert math.copysign(1.0, NeutroValue(-0.0).magnitude) == 1.0
+
+
+def _reference_entry_problem(k, value, mx, mode):
+    """The text of ``entry_problem`` from when it took the mode and also
+    checked PNSN crispness, kept as the reference for ``validate``."""
+    m = value.magnitude
+    if value.indeterminate:
+        if 0.0 < m <= 1.0:
+            return None
+        text = f"indeterminacy coefficient {m!r} outside (0, 1]"
+    elif not 0.0 <= m < math.inf:
+        text = f"determinate degree {m!r} is not a finite nonnegative real"
+    elif m > mx:
+        text = f"degree {fmt_number(m)} exceeds scale {fmt_number(mx)}"
+    elif mode is NetMode.PNSN and m != 0.0 and m != mx:
+        text = (f"non-crisp degree {fmt_number(m)} "
+                f"(PNSN requires 0 or {fmt_number(mx)})")
+    else:
+        return None
+    return f"channel {k} {text}"
+
+
+def _reference_validate(net):
+    """``validate`` from when it ran the full entry check on every entry in
+    every mode, then warned of each all-zero edge weight."""
+    out = []
+
+    def entry_violations(what, triple):
+        for k, (val, mx) in enumerate(zip(triple, net.scale), start=1):
+            problem = _reference_entry_problem(k, val, mx, net.mode)
+            if problem:
+                out.append(Violation(f"{what}: {problem}"))
+
+    for v in net.vertices:
+        entry_violations(f"vertex {v.label!r}", v.membership)
+    for e in net.edges:
+        where = f"edge {e.src} -> {e.dst}"
+        entry_violations(where, e.weight)
+        if e.weight.is_zero:
+            out.append(Violation(
+                f"{where} has an all-zero weight and cannot be "
+                "reconstructed from the adjacency tensor",
+                severity="warning"))
+    return out
+
+
+# Fuzzy nets rebuilt under every mode: under PNSN their degrees give
+# non-crisp findings, and zero weights give warnings in every mode.
+@given(nets(modes=[NetMode.FNSN, NetMode.PFNSN], allow_zero_weight_edges=True))
+@example(fixtures.s3())
+def test_validate_matches_the_full_entry_check_in_every_mode(net):
+    for mode in NetMode:
+        twin = _rebuilt(net, mode=mode)
+        assert twin.validate() == _reference_validate(twin)
 
 
 class TestNonFinite:

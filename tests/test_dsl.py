@@ -2,10 +2,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarnet import dsl, fixtures
+from polarnet import dsl
 from polarnet.core import NetMode, NeutroValue, SemanticNet
 from polarnet.dsl import ParseError, format_net, parse_net
 
+import strategies as fixtures
 from strategies import FIXTURE_TEXTS, mutated_pnet, nets
 
 

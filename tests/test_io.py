@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polarnet import fixtures
 from polarnet.core import NetError, NetMode, SemanticNet
 from polarnet.dsl import ParseError, parse_net
 from polarnet.io import SchemaError, from_json, to_dot, to_json
 from polarnet.matrix import adjacency_tensor
 
+import strategies as fixtures
 from strategies import json_documents, nets
 
 
