@@ -9,6 +9,7 @@ different channels (a min or product would annihilate them).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +39,7 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedTriple:
     """Channel degrees rescaled to [0, 1], read as (p, u, n)."""
 
@@ -52,7 +53,7 @@ class NormalizedTriple:
         return f"({parts})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedNeighbor:
     """One out-neighbor with its combined triple and polarity score."""
 
@@ -61,7 +62,7 @@ class RankedNeighbor:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionResult:
     """Out-neighbors of a vertex, ordered by the requested preference."""
 
@@ -104,6 +105,22 @@ def polarity_score(triple: NormalizedTriple) -> float:
     return triple.p - triple.n
 
 
+def _check_scale(triples: Iterable[ChannelTriple],
+                 scale: tuple[float, float, float]) -> None:
+    """Raise core's range error for the first entry above its channel maximum.
+
+    One compare per channel; ``normalize`` words a failure, so the error
+    names the entry that normalizing ``triples`` in order would name.
+    """
+    s1, s2, s3 = scale
+    for t in triples:
+        a, b, c = t.c1, t.c2, t.c3
+        if ((a.magnitude > s1 and not a.indeterminate)
+                or (b.magnitude > s2 and not b.indeterminate)
+                or (c.magnitude > s3 and not c.indeterminate)):
+            normalize(t, scale)  # raises
+
+
 def polar_select(net: SemanticNet, vertex_id: int,
                  preference: Polarity) -> SelectionResult:
     """Rank the out-neighbors of a vertex by polarity.
@@ -113,17 +130,12 @@ def polar_select(net: SemanticNet, vertex_id: int,
     score descending, NEGATIVE by score ascending, NEUTRAL by neutrality
     descending; ties prefer lower neutrality (for the polar preferences),
     then lexicographic label.
+
+    The scores are ``polarity_score(combine(normalize(weight),
+    normalize(membership)))`` written out on the raw entries, with the same
+    floating-point expressions in the same order.
     """
     net.vertex(vertex_id)
-    scale = net.scale
-    entries = []
-    for e in net.out_edges(vertex_id):
-        neighbor = net.vertex(e.dst)
-        combined = combine(normalize(e.weight, scale),
-                           normalize(neighbor.membership, scale))
-        entries.append((neighbor.label,
-                        RankedNeighbor(neighbor.id, combined,
-                                       polarity_score(combined))))
     if preference is Polarity.POSITIVE:
         def key(item): return (-item[1].score, item[1].combined.u, item[0])
     elif preference is Polarity.NEGATIVE:
@@ -132,6 +144,24 @@ def polar_select(net: SemanticNet, vertex_id: int,
         def key(item): return (-item[1].combined.u, item[0])
     else:
         raise NetError(f"unknown preference {preference!r}")
+    s1, s2, s3 = scale = net.scale
+    vertices = net._vertices
+    entries = []
+    for e in net.out_edges(vertex_id):
+        neighbor = vertices[e.dst]
+        w, m = e.weight, neighbor.membership
+        _check_scale((w, m), scale)
+        w1, w2, w3, m1, m2, m3 = w.c1, w.c2, w.c3, m.c1, m.c2, m.c3
+        p = ((0.0 if w1.indeterminate else w1.magnitude / s1)
+             + (0.0 if m1.indeterminate else m1.magnitude / s1)) / 2.0
+        u = ((0.0 if w2.indeterminate else w2.magnitude / s2)
+             + (0.0 if m2.indeterminate else m2.magnitude / s2)) / 2.0
+        n = ((0.0 if w3.indeterminate else w3.magnitude / s3)
+             + (0.0 if m3.indeterminate else m3.magnitude / s3)) / 2.0
+        combined = NormalizedTriple(p, u, n, has_indeterminacy=(
+            w.has_indeterminate or m.has_indeterminate))
+        entries.append((neighbor.label,
+                        RankedNeighbor(neighbor.id, combined, p - n)))
     entries.sort(key=key)  # stable: edge insertion order breaks exact ties
     return SelectionResult(ranked=tuple(item[1] for item in entries))
 
@@ -143,18 +173,26 @@ def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     all vertices and the normalized weights of all edges.  The label is
     positive when the summary score exceeds ``DEFAULT_LABEL_THRESHOLD``,
     negative below its negation, else neutral.
+
+    Each channel is the builtin ``sum`` of the per-entry ``normalize``
+    terms, memberships then weights, so the summary is bit-identical to
+    summing normalized triples (Python 3.12+ compensates that sum).
     """
-    vertices, scale = net.vertices, net.scale
+    vertices, scale = net._vertices, net.scale
     if not vertices:
         raise NetError("empty net has no polarity")
-    triples = [normalize(v.membership, scale) for v in vertices]
-    triples += [normalize(e.weight, scale) for e in net.edges]
+    triples = [v.membership for v in vertices] + [e.weight for e in net._edges]
+    _check_scale(triples, scale)
+    s1, s2, s3 = scale
     count = len(triples)
     summary = NormalizedTriple(
-        sum(t.p for t in triples) / count,
-        sum(t.u for t in triples) / count,
-        sum(t.n for t in triples) / count,
-        has_indeterminacy=any(t.has_indeterminacy for t in triples),
+        sum([0.0 if t.c1.indeterminate else t.c1.magnitude / s1
+             for t in triples]) / count,
+        sum([0.0 if t.c2.indeterminate else t.c2.magnitude / s2
+             for t in triples]) / count,
+        sum([0.0 if t.c3.indeterminate else t.c3.magnitude / s3
+             for t in triples]) / count,
+        has_indeterminacy=any(t.has_indeterminate for t in triples),
     )
     score = polarity_score(summary)
     if score > DEFAULT_LABEL_THRESHOLD:

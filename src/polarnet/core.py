@@ -87,6 +87,15 @@ class NetMode(Enum):
         return ("p", "u", "n")
 
 
+def _float(x: int | float) -> float:
+    """``float(x)``; an int beyond the float range becomes an infinity of its
+    sign, so the finiteness checks reject it as they reject ``1e999``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def fmt_number(x: float) -> str:
     """Format a degree with minimal digits; exact under float round-trip."""
     if abs(x) < 1e16 and x == int(x):
@@ -109,7 +118,7 @@ class NeutroValue:
                             f"bool, got {self.magnitude!r} and {self.indeterminate!r}")
         # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
         # alike, and keeps any other float object without copying it
-        object.__setattr__(self, "magnitude", float(m) or 0.0)
+        object.__setattr__(self, "magnitude", _float(m) or 0.0)
         problem = entry_problem(None, self)
         if problem:
             raise problem
@@ -315,7 +324,7 @@ class SemanticNet:
             raise TypeError(f"scale must be 3 numbers, got {scale!r}")
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
-        scale = tuple(float(s) for s in scale)
+        scale = tuple(_float(s) for s in scale)
         for k, s in enumerate(scale, start=1):
             if not 0.0 < s < math.inf:  # also NaN
                 raise NetError(f"channel {k} scale must be positive and "

@@ -1,11 +1,18 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polarnet.core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
 from polarnet.analysis import (
+    DEFAULT_LABEL_THRESHOLD,
     NormalizedTriple,
     Polarity,
+    RankedNeighbor,
+    SelectionResult,
     combine,
     net_polarity,
     normalize,
@@ -14,6 +21,7 @@ from polarnet.analysis import (
 )
 
 from strategies import nets, scaled_copy, triples
+from test_scale import large_net
 
 SCALE = (3.0, 2.0, 1.0)
 
@@ -122,6 +130,14 @@ class TestPolarSelect:
     def test_unknown_vertex_rejected(self, s3_net):
         with pytest.raises(NetError, match="unknown vertex"):
             polar_select(s3_net, 99, Polarity.POSITIVE)
+        with pytest.raises(NetError, match="unknown vertex"):
+            polar_select(s3_net, 99, "positive")
+
+    def test_unknown_preference_rejected_before_ranking(self, s3_net):
+        # Ranking this net would raise a range error first.
+        s3_net._scale = (1.0, 1.0, 1.0)
+        with pytest.raises(NetError, match="unknown preference 'positive'"):
+            polar_select(s3_net, 0, "positive")
 
 
 class TestNetPolarity:
@@ -203,3 +219,107 @@ def test_label_follows_threshold_rule(net):
         assert label is Polarity.NEGATIVE
     else:
         assert label is Polarity.NEUTRAL
+
+
+def test_result_types_are_frozen_values():
+    combined = NormalizedTriple(0.5, 0.25, 0.0, has_indeterminacy=True)
+    ranked = RankedNeighbor(2, combined, 0.5)
+    result = SelectionResult((ranked,))
+    combined_repr = ("NormalizedTriple(p=0.5, u=0.25, n=0.0, "
+                     "has_indeterminacy=True)")
+    ranked_repr = (f"RankedNeighbor(vertex_id=2, combined={combined_repr}, "
+                   "score=0.5)")
+    for value, text, field in [
+            (combined, combined_repr, "p"),
+            (ranked, ranked_repr, "score"),
+            (result, f"SelectionResult(ranked=({ranked_repr},))", "ranked")]:
+        assert repr(value) == text
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 1)
+    assert str(combined) == "(0.5, 0.25, 0)"
+    assert combined != NormalizedTriple(0.5, 0.25, 0.0)
+    assert combined != (0.5, 0.25, 0.0, True)
+    assert hash(combined) == hash(NormalizedTriple(0.5, 0.25, 0.0, True))
+
+
+# The normalize-based kernels as they were before scores were computed from
+# the raw entries; the kernels must give equal results and raise equal errors.
+def ref_polar_select(net, vertex_id, preference):
+    net.vertex(vertex_id)
+    scale = net.scale
+    entries = []
+    for e in net.out_edges(vertex_id):
+        neighbor = net.vertex(e.dst)
+        combined = combine(normalize(e.weight, scale),
+                           normalize(neighbor.membership, scale))
+        entries.append((neighbor.label,
+                        RankedNeighbor(neighbor.id, combined,
+                                       polarity_score(combined))))
+    if preference is Polarity.POSITIVE:
+        def key(item): return (-item[1].score, item[1].combined.u, item[0])
+    elif preference is Polarity.NEGATIVE:
+        def key(item): return (item[1].score, item[1].combined.u, item[0])
+    elif preference is Polarity.NEUTRAL:
+        def key(item): return (-item[1].combined.u, item[0])
+    else:
+        raise NetError(f"unknown preference {preference!r}")
+    entries.sort(key=key)
+    return SelectionResult(ranked=tuple(item[1] for item in entries))
+
+
+def ref_net_polarity(net):
+    vertices, scale = net.vertices, net.scale
+    if not vertices:
+        raise NetError("empty net has no polarity")
+    triples = [normalize(v.membership, scale) for v in vertices]
+    triples += [normalize(e.weight, scale) for e in net.edges]
+    count = len(triples)
+    summary = NormalizedTriple(
+        sum(t.p for t in triples) / count,
+        sum(t.u for t in triples) / count,
+        sum(t.n for t in triples) / count,
+        has_indeterminacy=any(t.has_indeterminacy for t in triples),
+    )
+    score = polarity_score(summary)
+    if score > DEFAULT_LABEL_THRESHOLD:
+        label = Polarity.POSITIVE
+    elif score < -DEFAULT_LABEL_THRESHOLD:
+        label = Polarity.NEGATIVE
+    else:
+        label = Polarity.NEUTRAL
+    return summary, label
+
+
+def _outcome(function, *args):
+    """The result of a call, or its NetError's text, kind and channel."""
+    try:
+        result = function(*args)
+    except NetError as error:
+        return str(error), error.kind, error.channel
+    return result, repr(result)  # the repr tells -0.0 from 0.0
+
+
+def assert_kernels_match_reference(net):
+    assert _outcome(net_polarity, net) == _outcome(ref_net_polarity, net)
+    for v in net.vertices:
+        for preference in Polarity:
+            assert (_outcome(polar_select, net, v.id, preference)
+                    == _outcome(ref_polar_select, net, v.id, preference))
+
+
+# A shrunk scale, set behind construction's back, puts entries above it, so
+# both kernels must name the same first entry as the reference.
+@given(nets(), st.integers(-3, 6), st.sampled_from([1.0, 0.75, 0.5]))
+def test_kernels_match_the_normalize_reference(net, exponent, shrink):
+    scaled = scaled_copy(net, 2.0 ** exponent)
+    for candidate in (net, scaled):
+        assert_kernels_match_reference(candidate)
+        shrunk = copy.copy(candidate)
+        shrunk._scale = tuple(s * shrink for s in candidate.scale)
+        assert_kernels_match_reference(shrunk)
+
+
+def test_kernels_match_the_normalize_reference_on_a_large_net():
+    assert_kernels_match_reference(large_net(1))

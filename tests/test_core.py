@@ -604,3 +604,20 @@ class TestNonFinite:
         with pytest.raises(NetError, match="channel 2 scale must be positive "
                                            "and finite"):
             SemanticNet(NetMode.FNSN, "x", (3, bad, 1))
+
+    # An int beyond the float range gets the error 1e999 gets, not the
+    # OverflowError of float().
+    @pytest.mark.parametrize("construct,kind,text", [
+        (lambda: NeutroValue(10**400), "non-finite",
+         "determinate degree inf is not a finite nonnegative real"),
+        (lambda: NeutroValue(-10**400), "non-finite",
+         "determinate degree -inf is not a finite nonnegative real"),
+        (lambda: NeutroValue(10**400, True), "coefficient",
+         "indeterminacy coefficient inf outside (0, 1]"),
+        (lambda: SemanticNet(NetMode.FNSN, "x", (10**400, 2, 1)), "scale",
+         "channel 1 scale must be positive and finite, got inf"),
+    ], ids=["degree", "negative-degree", "coefficient", "scale"])
+    def test_int_beyond_float_range_rejected(self, construct, kind, text):
+        with pytest.raises(NetError) as info:
+            construct()
+        assert (str(info.value), info.value.kind) == (text, kind)
