@@ -9,11 +9,10 @@ different channels (a min or product would annihilate them).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ChannelTriple, NetError, SemanticNet, entry_problem, fmt_number
+from .core import ChannelTriple, NetError, SemanticNet, fmt_number, scale_problem
 
 __all__ = [
     "Polarity",
@@ -75,17 +74,18 @@ def normalize(triple: ChannelTriple,
 
     Indeterminacy entries contribute 0 to their component and set
     ``has_indeterminacy``.  A degree above its maximum raises core's
-    range error; the one compare per channel keeps this hot path cheap.
+    range error.
     """
+    problem = scale_problem((triple,), scale)
+    if problem:
+        raise problem
     components = []
     flag = False
-    for k, (val, mx) in enumerate(zip(triple, scale), start=1):
+    for val, mx in zip(triple, scale):
         if val.indeterminate:
             components.append(0.0)
             flag = True
         else:
-            if val.magnitude > mx:
-                raise entry_problem(k, val, mx)
             components.append(val.magnitude / mx)
     return NormalizedTriple(*components, has_indeterminacy=flag)
 
@@ -103,22 +103,6 @@ def combine(edge: NormalizedTriple, neighbor: NormalizedTriple) -> NormalizedTri
 def polarity_score(triple: NormalizedTriple) -> float:
     """Net polarity in [-1, 1]: positivity minus negativity."""
     return triple.p - triple.n
-
-
-def _check_scale(triples: Iterable[ChannelTriple],
-                 scale: tuple[float, float, float]) -> None:
-    """Raise core's range error for the first entry above its channel maximum.
-
-    One compare per channel; ``normalize`` words a failure, so the error
-    names the entry that normalizing ``triples`` in order would name.
-    """
-    s1, s2, s3 = scale
-    for t in triples:
-        a, b, c = t.c1, t.c2, t.c3
-        if ((a.magnitude > s1 and not a.indeterminate)
-                or (b.magnitude > s2 and not b.indeterminate)
-                or (c.magnitude > s3 and not c.indeterminate)):
-            normalize(t, scale)  # raises
 
 
 def polar_select(net: SemanticNet, vertex_id: int,
@@ -147,10 +131,13 @@ def polar_select(net: SemanticNet, vertex_id: int,
     s1, s2, s3 = scale = net.scale
     vertices = net._vertices
     entries = []
-    for e in net.out_edges(vertex_id):
+    # ``vertex`` has rejected a bad id, so the out-edges are read in place
+    for e in net._out.get(vertex_id, {}).values():
         neighbor = vertices[e.dst]
         w, m = e.weight, neighbor.membership
-        _check_scale((w, m), scale)
+        problem = scale_problem((w, m), scale)
+        if problem:
+            raise problem
         w1, w2, w3, m1, m2, m3 = w.c1, w.c2, w.c3, m.c1, m.c2, m.c3
         p = ((0.0 if w1.indeterminate else w1.magnitude / s1)
              + (0.0 if m1.indeterminate else m1.magnitude / s1)) / 2.0
@@ -182,7 +169,9 @@ def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     if not vertices:
         raise NetError("empty net has no polarity")
     triples = [v.membership for v in vertices] + [e.weight for e in net._edges]
-    _check_scale(triples, scale)
+    problem = scale_problem(triples, scale)
+    if problem:
+        raise problem
     s1, s2, s3 = scale
     count = len(triples)
     summary = NormalizedTriple(

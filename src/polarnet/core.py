@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -39,6 +39,7 @@ __all__ = [
     "Order",
     "SemanticNet",
     "entry_problem",
+    "scale_problem",
     "fmt_number",
     "is_valid_label",
 ]
@@ -103,22 +104,27 @@ def fmt_number(x: float) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True, slots=True)
+# The value types below are frozen, slotted dataclasses whose hand-written
+# ``__init__`` stores each field through its slot descriptor, bound once after
+# the class; the generated one calls ``object.__setattr__`` per field.  ``==``,
+# ``hash``, ``repr``, pickling and ``dataclasses.replace`` stay generated.
+
+@dataclass(frozen=True, slots=True, init=False)
 class NeutroValue:
     """One channel entry: a determinate degree, or an indeterminacy n*I."""
 
     magnitude: float
     indeterminate: bool = False
 
-    def __post_init__(self) -> None:
-        m = self.magnitude
-        if (not isinstance(m, (int, float)) or type(m) is bool
-                or type(self.indeterminate) is not bool):
+    def __init__(self, magnitude: float, indeterminate: bool = False) -> None:
+        if (not isinstance(magnitude, (int, float)) or type(magnitude) is bool
+                or type(indeterminate) is not bool):
             raise TypeError(f"a degree must be a number and indeterminate a "
-                            f"bool, got {self.magnitude!r} and {self.indeterminate!r}")
+                            f"bool, got {magnitude!r} and {indeterminate!r}")
         # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
         # alike, and keeps any other float object without copying it
-        object.__setattr__(self, "magnitude", _float(m) or 0.0)
+        _set_magnitude(self, _float(magnitude) or 0.0)
+        _set_value_flag(self, indeterminate)
         problem = entry_problem(None, self)
         if problem:
             raise problem
@@ -144,16 +150,25 @@ class NeutroValue:
         return fmt_number(self.magnitude)
 
 
+_set_magnitude = NeutroValue.magnitude.__set__
+_set_value_flag = NeutroValue.indeterminate.__set__
+
 ValueLike = Union[NeutroValue, float, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ChannelTriple:
     """Three channel entries, read as (t, i, f) or (p, u, n) by net mode."""
 
     c1: NeutroValue
     c2: NeutroValue
     c3: NeutroValue
+
+    def __init__(self, c1: NeutroValue, c2: NeutroValue,
+                 c3: NeutroValue) -> None:
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_c3(self, c3)
 
     @classmethod
     def of(cls, c1: ValueLike, c2: ValueLike, c3: ValueLike) -> "ChannelTriple":
@@ -184,6 +199,10 @@ class ChannelTriple:
         return f"({self.c1}, {self.c2}, {self.c3})"
 
 
+_set_c1 = ChannelTriple.c1.__set__
+_set_c2 = ChannelTriple.c2.__set__
+_set_c3 = ChannelTriple.c3.__set__
+
 TripleLike = Union[ChannelTriple, tuple, list]
 
 
@@ -198,7 +217,7 @@ def _coerce_triple(triple: TripleLike) -> ChannelTriple:
     return ChannelTriple.of(*triple)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
     """A labeled node; ``indeterminate`` marks an N_k node."""
 
@@ -207,8 +226,21 @@ class Vertex:
     membership: ChannelTriple
     indeterminate: bool = False
 
+    def __init__(self, id: int, label: str, membership: ChannelTriple,
+                 indeterminate: bool = False) -> None:
+        _set_vertex_id(self, id)
+        _set_vertex_label(self, label)
+        _set_membership(self, membership)
+        _set_vertex_flag(self, indeterminate)
 
-@dataclass(frozen=True, slots=True)
+
+_set_vertex_id = Vertex.id.__set__
+_set_vertex_label = Vertex.label.__set__
+_set_membership = Vertex.membership.__set__
+_set_vertex_flag = Vertex.indeterminate.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     """A directed relation between two vertices, src -> dst."""
 
@@ -217,6 +249,21 @@ class Edge:
     weight: ChannelTriple
     label: str = ""
     indeterminate: bool = False
+
+    def __init__(self, src: int, dst: int, weight: ChannelTriple,
+                 label: str = "", indeterminate: bool = False) -> None:
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_weight(self, weight)
+        _set_edge_label(self, label)
+        _set_edge_flag(self, indeterminate)
+
+
+_set_src = Edge.src.__set__
+_set_dst = Edge.dst.__set__
+_set_weight = Edge.weight.__set__
+_set_edge_label = Edge.label.__set__
+_set_edge_flag = Edge.indeterminate.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,6 +320,27 @@ def entry_problem(k: int | None, value: NeutroValue,
     if k is not None:
         text = f"channel {k} {text}"
     return NetError(text, kind, k)
+
+
+def scale_problem(triples: Iterable[ChannelTriple],
+                  scale: tuple[float, float, float]) -> NetError | None:
+    """The range error of the first determinate degree above its channel
+    maximum in ``scale``, over ``triples`` in order, or None.
+
+    Values check their own type, coefficient and finiteness when built, so
+    one compare per channel is the whole check; ``entry_problem`` words a
+    failure.  Construction and ``analysis`` both check the range here.
+    """
+    s1, s2, s3 = scale
+    for t in triples:
+        a, b, c = t.c1, t.c2, t.c3
+        if a.magnitude > s1 and not a.indeterminate:
+            return entry_problem(1, a, s1)
+        if b.magnitude > s2 and not b.indeterminate:
+            return entry_problem(2, b, s2)
+        if c.magnitude > s3 and not c.indeterminate:
+            return entry_problem(3, c, s3)
+    return None
 
 
 _STRUCTURE_TEXT = {
@@ -400,18 +468,25 @@ class SemanticNet:
         if not (isinstance(label, str) and type(indeterminate) is bool):
             raise TypeError(f"label must be a str and indeterminate a bool, "
                             f"got {label!r} and {indeterminate!r}")
-        source = self.vertex(src)
-        target = self.vertex(dst)
+        vertices = self._vertices
+        n = len(vertices)
+        if not (type(src) is int and type(dst) is int
+                and 0 <= src < n and 0 <= dst < n):
+            # ``vertex`` raises for a bad id; an int subclass is stored as
+            # the plain id of the vertex it names
+            src = self.vertex(src).id
+            dst = self.vertex(dst).id
         if src == dst:
-            raise _structure_error("loop", source.label)
-        if self.has_edge(src, dst):
-            raise _structure_error("duplicate edge", source.label, target.label)
-        # the ids of the vertices found, so an int subclass given as ``src``
-        # or ``dst`` is stored as the plain int it stands for
-        edge = Edge(source.id, target.id, self._in_scale(weight), label,
-                    indeterminate)
+            raise _structure_error("loop", vertices[src].label)
+        out = self._out.get(src)
+        if out is not None and dst in out:
+            raise _structure_error("duplicate edge", vertices[src].label,
+                                   vertices[dst].label)
+        edge = Edge(src, dst, self._in_scale(weight), label, indeterminate)
+        if out is None:
+            out = self._out[src] = {}
+        out[dst] = edge
         self._edges.append(edge)
-        self._out.setdefault(edge.src, {})[edge.dst] = edge
         return edge
 
     # -- lookup -----------------------------------------------------------
@@ -499,13 +574,9 @@ class SemanticNet:
 
     def _in_scale(self, triple: TripleLike) -> ChannelTriple:
         """``triple`` as a ChannelTriple; raises its first degree above scale.
-
-        Values check their own type, coefficient and finiteness when built,
-        and crispness is left to ``validate``, so one compare per channel is
-        the whole construction check; ``entry_problem`` words a failure.
-        """
+        Crispness is left to ``validate``."""
         triple = _coerce_triple(triple)
-        for k, (val, mx) in enumerate(zip(triple, self._scale), start=1):
-            if val.magnitude > mx and not val.indeterminate:
-                raise entry_problem(k, val, mx)
+        problem = scale_problem((triple,), self._scale)
+        if problem:
+            raise problem
         return triple

@@ -114,13 +114,20 @@ def _number(value: Any) -> float | None:
         return math.inf
 
 
-def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
-    """The channel entries ``obj[key]`` of the element at ``path``."""
+def _triple(obj: dict, key: str, path: str,
+            values: dict[tuple[float, bool], NeutroValue]) -> ChannelTriple:
+    """The channel entries ``obj[key]`` of the element at ``path``.
+
+    Values are immutable, so one load shares a value among equal entries
+    through ``values``, keyed by number and flag as ``NeutroValue`` takes
+    them.  Only a value that was built is stored: a NaN, which no value
+    holds, never hits, and each bad entry fails at its own path.
+    """
     entries = _field(obj, key, path, list)
     if len(entries) != 3:
         raise SchemaError(f"{path}.{key}",
                           f"3 channel entries expected, got {len(entries)}")
-    values = []
+    triple = []
     for k, entry in enumerate(entries):
         if type(entry) is not dict:
             problem = "object expected"
@@ -129,13 +136,15 @@ def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
         elif (x := _number(entry.get("d", entry.get("i")))) is None:
             problem = "number expected"
         else:
+            flagged = (x, "i" in entry)
             try:
-                values.append(NeutroValue(x, "i" in entry))
+                triple.append(values.get(flagged)
+                              or values.setdefault(flagged, NeutroValue(*flagged)))
                 continue
             except NetError as exc:
                 problem = str(exc)
         raise SchemaError(f"{path}.{key}[{k}]", problem)
-    return ChannelTriple(*values)
+    return ChannelTriple(*triple)
 
 
 def from_json(text: str) -> SemanticNet:
@@ -170,6 +179,7 @@ def from_json(text: str) -> SemanticNet:
         raise SchemaError("$.directed", "only directed nets are supported")
 
     id_map: dict[int, int] = {}
+    values: dict[tuple[float, bool], NeutroValue] = {}
     for i, obj in enumerate(_field(doc, "vertices", "$", list)):
         path = f"$.vertices[{i}]"
         if type(obj) is not dict:
@@ -179,7 +189,7 @@ def from_json(text: str) -> SemanticNet:
             raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
         label = _field(obj, "label", path, str)
         indeterminate = _field(obj, "indeterminate", path, bool, False)
-        membership = _triple(obj, "membership", path)
+        membership = _triple(obj, "membership", path, values)
         try:
             id_map[ext_id] = net.add_vertex(label, membership, indeterminate)
         except NetError as exc:
@@ -197,7 +207,7 @@ def from_json(text: str) -> SemanticNet:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
         label = _field(obj, "label", path, str, "")
         indeterminate = _field(obj, "indeterminate", path, bool, False)
-        weight = _triple(obj, "weight", path)
+        weight = _triple(obj, "weight", path, values)
         try:
             net.add_edge(id_map[src], id_map[dst], weight, label, indeterminate)
         except NetError as exc:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -16,12 +17,13 @@ from polarnet.core import (
     SemanticNet,
     Vertex,
     Violation,
+    entry_problem,
     fmt_number,
 )
 from polarnet.dsl import format_net, parse_net
 
 import strategies as fixtures
-from strategies import nets, triples
+from strategies import coefficients, nets, triples
 
 
 class TestNeutroValue:
@@ -69,6 +71,67 @@ class TestChannelTriple:
     def test_str(self):
         t = ChannelTriple.of(2.4, NeutroValue.indeterminacy(0.5), 0)
         assert str(t) == "(2.4, 0.5I, 0)"
+
+
+_T = ChannelTriple(NeutroValue(1.0), NeutroValue(0.5, True), NeutroValue(0.0))
+_T_REPR = ("ChannelTriple(c1=NeutroValue(magnitude=1.0, indeterminate=False), "
+           "c2=NeutroValue(magnitude=0.5, indeterminate=True), "
+           "c3=NeutroValue(magnitude=0.0, indeterminate=False))")
+
+
+# Each value type with every field by keyword, the fields that have a
+# default, a replacement for its first field, and its repr.
+@pytest.mark.parametrize("cls,kwargs,defaults,first,expected_repr", [
+    (NeutroValue, {"magnitude": 0.5, "indeterminate": True},
+     {"indeterminate": False}, 0.25,
+     "NeutroValue(magnitude=0.5, indeterminate=True)"),
+    (ChannelTriple, {"c1": _T.c1, "c2": _T.c2, "c3": _T.c3}, {},
+     NeutroValue(2.0), _T_REPR),
+    (Vertex, {"id": 3, "label": "a", "membership": _T, "indeterminate": True},
+     {"indeterminate": False}, 4,
+     f"Vertex(id=3, label='a', membership={_T_REPR}, indeterminate=True)"),
+    (Edge, {"src": 0, "dst": 1, "weight": _T, "label": "x",
+            "indeterminate": True},
+     {"label": "", "indeterminate": False}, 2,
+     f"Edge(src=0, dst=1, weight={_T_REPR}, label='x', indeterminate=True)"),
+], ids=["NeutroValue", "ChannelTriple", "Vertex", "Edge"])
+def test_value_types_are_frozen_dataclasses(cls, kwargs, defaults, first,
+                                            expected_repr):
+    value = cls(**kwargs)
+    twin = cls(*kwargs.values())
+    assert value == twin and value is not twin and hash(value) == hash(twin)
+    assert repr(value) == expected_repr
+    assert not hasattr(value, "__dict__")
+    names = list(kwargs)
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert [getattr(value, name) for name in names] == list(kwargs.values())
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, kwargs[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(value, protocol))
+        assert type(loaded) is cls and loaded == value
+        assert hash(loaded) == hash(value)
+    for duplicate in (copy.copy(value), copy.deepcopy(value)):
+        assert type(duplicate) is cls and duplicate == value
+    as_tuple = tuple(kwargs.values())
+    assert value != as_tuple and as_tuple != value
+    required = {k: v for k, v in kwargs.items() if k not in defaults}
+    assert cls(**required) == cls(**required, **defaults)
+    changed = dataclasses.replace(value, **{names[0]: first})
+    assert type(changed) is cls and changed != value
+    assert getattr(changed, names[0]) == first
+    assert [getattr(changed, name) for name in names[1:]] == \
+        list(kwargs.values())[1:]
+    assert dataclasses.replace(value) == value
+
+
+def test_replace_checks_a_value_as_construction_does():
+    with pytest.raises(NetError, match="coefficient 1.5 outside"):
+        dataclasses.replace(NeutroValue(0.5, True), magnitude=1.5)
+    assert dataclasses.replace(NeutroValue(2.5), magnitude=-0.0) == NeutroValue(0.0)
 
 
 class TestNetConstruction:
@@ -476,6 +539,136 @@ def test_a_bool_is_not_a_vertex_id():
         with pytest.raises(NetError, match="^unknown vertex id"):
             net.add_edge(src, dst, (1, 0, 0))
     assert net == before and net.has_edge(0, 1) and net.out_edges(0)
+
+
+def _reference_in_scale(net, triple):
+    """``SemanticNet._in_scale`` from before its unrolled range check,
+    with the ``_coerce_triple`` it called, kept as the reference."""
+    if not isinstance(triple, ChannelTriple):
+        if not isinstance(triple, (tuple, list)):
+            raise TypeError(f"a channel triple must be a ChannelTriple, "
+                            f"tuple or list, got {triple!r}")
+        if len(triple) != 3:
+            raise NetError(f"channel triple needs 3 entries, got {len(triple)}")
+        triple = ChannelTriple.of(*triple)
+    for k, (val, mx) in enumerate(zip(triple, net.scale), start=1):
+        if val.magnitude > mx and not val.indeterminate:
+            raise entry_problem(k, val, mx)
+    return triple
+
+
+def _reference_add_edge(net, src, dst, weight, label="", indeterminate=False):
+    """``SemanticNet.add_edge`` from before it checked plain ids itself,
+    when it looked both ends up through ``vertex`` and asked ``has_edge``."""
+    if not (isinstance(label, str) and type(indeterminate) is bool):
+        raise TypeError(f"label must be a str and indeterminate a bool, "
+                        f"got {label!r} and {indeterminate!r}")
+    source = net.vertex(src)
+    target = net.vertex(dst)
+    if src == dst:
+        raise NetError(f"loop on vertex {source.label!r} rejected", "loop")
+    if net.has_edge(src, dst):
+        raise NetError(f"duplicate edge {source.label!r} -> {target.label!r}",
+                       "duplicate edge")
+    edge = Edge(source.id, target.id, _reference_in_scale(net, weight), label,
+                indeterminate)
+    net._edges.append(edge)
+    net._out.setdefault(edge.src, {})[edge.dst] = edge
+    return edge
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the error it raises, as comparable
+    fields: the type, text, ``kind`` and ``channel`` of an error."""
+    try:
+        return "ok", call(*args)
+    except (NetError, TypeError) as exc:
+        return (type(exc), str(exc), getattr(exc, "kind", None),
+                getattr(exc, "channel", None))
+
+
+_EDGE_SCALES = [(3.0, 2.0, 1.0), (0.5, 1.0, 0.25)]
+
+
+@st.composite
+def _edge_calls(draw, n, scale):
+    """Arguments of one ``add_edge`` call on a net of ``n`` vertices: valid,
+    or with an unknown, negative, ``bool`` or int-subclass id, a loop or
+    duplicate pair, a degree above scale, a bad entry or triple, or a label
+    or flag of the wrong type."""
+    valid = st.integers(0, n - 1)
+    ids = st.one_of(*[valid] * 6, st.integers(-2, n + 1), st.booleans(),
+                    st.integers(-1, n).map(_Id))
+
+    def entries(mx):
+        return st.one_of(
+            st.floats(0.0, mx), st.floats(0.0, mx), st.floats(0.0, 1.5 * mx),
+            st.sampled_from([0, 1, 0.25, -1.0, True]),
+            coefficients.map(NeutroValue.indeterminacy))
+
+    triple = st.tuples(*map(entries, scale))
+    weight = draw(st.one_of(
+        triple, triple, triple.map(list),
+        st.tuples(*(st.floats(0.0, 1.5 * mx) for mx in scale)).map(
+            lambda degrees: ChannelTriple.of(*degrees)),
+        st.lists(entries(min(scale)), min_size=2, max_size=4),
+        st.just("100")))
+    label = draw(st.sampled_from(["", "rather"] * 4 + [5]))
+    flag = draw(st.sampled_from([False, True] * 4 + ["no"]))
+    return draw(ids), draw(ids), weight, label, flag
+
+
+@given(st.data())
+def test_add_edge_matches_the_reference_step_by_step(data):
+    scale = data.draw(st.sampled_from(_EDGE_SCALES))
+    n = data.draw(st.integers(1, 5))
+    net = SemanticNet(NetMode.PFNSN, "x", scale)
+    for i in range(n):
+        net.add_vertex(f"v{i}", (0, 0, 0))
+    reference = copy.copy(net)
+    ids = range(-1, n + 1)
+    for _ in range(data.draw(st.integers(1, 12))):
+        args = data.draw(_edge_calls(n, scale))
+        before = copy.copy(net)
+        got = _outcome(net.add_edge, *args)
+        expected = _outcome(_reference_add_edge, reference, *args)
+        assert got == expected
+        if got[0] == "ok":
+            assert type(got[1].src) is int and type(got[1].dst) is int
+        else:
+            assert net == before and net._out == before._out
+        assert net == reference and repr(net) == repr(reference)
+        assert net._out == reference._out
+        assert [net.out_edges(v) for v in ids] == \
+            [reference.out_edges(v) for v in ids]
+        assert [net.has_edge(s, d) for s in ids for d in ids] == \
+            [reference.has_edge(s, d) for s in ids for d in ids]
+        assert copy.copy(net) == copy.copy(reference) == net
+
+
+@pytest.mark.parametrize("args,error", [
+    ((5, 7, (9, 0, 0), 1), "label must be a str and indeterminate a bool, "
+                           "got 1 and False"),
+    ((5, 7, (9, 0, 0)), "unknown vertex id 5"),
+    ((0, 7, (9, 0, 0)), "unknown vertex id 7"),
+    ((True, 1, (9, 0, 0)), "unknown vertex id True"),
+    ((0, 0, (9, 0, 0)), "loop on vertex 'a' rejected"),
+    ((_Id(0), 0, (9, 0, 0)), "loop on vertex 'a' rejected"),
+    ((0, 1, (9, 0, 0)), "duplicate edge 'a' -> 'b'"),
+    ((_Id(0), _Id(1), "100"), "duplicate edge 'a' -> 'b'"),
+    ((1, 0, (0, 0, 9)), "channel 3 degree 9 exceeds scale 1"),
+], ids=["type", "src", "dst", "bool", "loop", "subclass-loop", "duplicate",
+        "subclass-duplicate", "weight"])
+def test_add_edge_reports_the_first_failed_check(args, error):
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    net.add_edge(0, 1, (1, 0, 0))
+    before = copy.copy(net)
+    with pytest.raises((NetError, TypeError)) as info:
+        net.add_edge(*args)
+    assert str(info.value) == error
+    assert net == before and net._out == before._out
 
 
 @pytest.mark.parametrize("call", [

@@ -483,3 +483,74 @@ def test_from_json_is_total(text):
     except SchemaError:
         return
     assert isinstance(result, SemanticNet)
+
+
+def _raw_document(memberships, weights=()):
+    """An FNSN document, scale 3 2 1, with one vertex ``v<i>`` per membership
+    and one edge ``v<i> -> v<i+1>`` per weight, each entry written as its
+    JSON text so that ``1`` and ``1.0`` or ``0.0`` and ``-0.0`` stay apart."""
+    vertices = ", ".join(
+        f'{{"id": {i}, "label": "v{i}", "membership": [{", ".join(m)}]}}'
+        for i, m in enumerate(memberships))
+    edges = ", ".join(
+        f'{{"src": {i}, "dst": {i + 1}, "weight": [{", ".join(w)}]}}'
+        for i, w in enumerate(weights))
+    return (f'{{"mode": "FNSN", "name": "x", "scale": [3, 2, 1], '
+            f'"vertices": [{vertices}], "edges": [{edges}]}}')
+
+
+def test_equal_entries_share_one_value_within_a_load():
+    text = _raw_document(
+        [['{"d": 1}', '{"d": 0}', '{"i": 0.5}'],
+         ['{"d": 1.0}', '{"d": 0.5}', '{"i": 0.5}']],
+        [['{"d": 1}', '{"d": 0.0}', '{"d": 0}']])
+    net = from_json(text)
+    a, b = (v.membership for v in net.vertices)
+    w = net.edges[0].weight
+    assert a.c1 is b.c1 is w.c1  # 1 and 1.0 are one value
+    assert a.c2 is w.c2 is w.c3
+    assert a.c3 is b.c3
+    assert b.c2 is not a.c3 and b.c2 != a.c3  # the flag is part of the key
+    again = from_json(text)
+    assert again == net
+    assert again.vertices[0].membership.c1 is not a.c1
+    assert again.edges[0].weight.c2 is not w.c2
+
+
+@pytest.mark.parametrize("first,second", [("0.0", "-0.0"), ("-0.0", "0.0"),
+                                          ("0", "-0.0")])
+def test_negative_zero_loads_as_zero_whichever_comes_first(first, second):
+    net = from_json(_raw_document(
+        [[f'{{"d": {first}}}', f'{{"d": {second}}}', f'{{"d": {second}}}']]))
+    entries = list(net.vertices[0].membership)
+    assert all(math.copysign(1.0, v.magnitude) == 1.0 for v in entries)
+    assert '"d": -0.0' not in to_json(net)
+
+
+@pytest.mark.parametrize("memberships,path", [
+    ([['{"d": 0}', '{"d": NaN}', '{"d": NaN}'],
+      ['{"d": NaN}', '{"d": 0}', '{"d": 0}']], "$.vertices[0].membership[1]"),
+    ([['{"d": 1}', '{"d": 0}', '{"d": 0}'],
+      ['{"d": 0}', '{"d": 1}', '{"d": NaN}']], "$.vertices[1].membership[2]"),
+    ([['{"i": NaN}', '{"i": NaN}', '{"d": 0}']], "$.vertices[0].membership[0]"),
+], ids=["first-of-three", "after-valid-values", "indeterminate"])
+def test_a_repeated_nan_is_rejected_at_its_own_path(memberships, path):
+    text = _raw_document(memberships)
+    for _ in range(2):  # a failed load leaves nothing behind for the next
+        with pytest.raises(SchemaError) as info:
+            from_json(text)
+        assert info.value.path == path
+        assert "nan" in info.value.message
+
+
+def test_a_shared_value_above_scale_is_located_at_its_own_entry():
+    net = SemanticNet(NetMode.FNSN, "x", (3, 2, 1))
+    with pytest.raises(NetError) as core_error:
+        net.add_vertex("v1", (2, 0, 2))
+    text = _raw_document([['{"d": 2}', '{"d": 0}', '{"d": 0}'],
+                          ['{"d": 2}', '{"d": 0}', '{"d": 2}']])
+    with pytest.raises(SchemaError) as info:
+        from_json(text)
+    assert info.value.path == "$.vertices[1].membership[2]"
+    assert info.value.message == str(core_error.value) == \
+        "channel 3 degree 2 exceeds scale 1"
