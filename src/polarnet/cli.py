@@ -5,6 +5,10 @@ Exit codes: 0 on success, 1 on domain errors (parse or validation failures),
 that cannot be written.  Diagnostics go to stderr, data to stdout as UTF-8
 whatever the locale.  A reader that closes stdout early ends the output
 quietly, with the command's own exit code.
+
+Beyond ``core``, the loader and each command import what they use when they
+run, so one ``python -m polarnet`` process loads only the modules its command
+and input format need.
 """
 from __future__ import annotations
 
@@ -13,11 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import dsl
-from . import io as net_io
-from .analysis import Polarity, net_polarity, polar_select
 from .core import NetError, SemanticNet
-from .matrix import adjacency_tensor, membership_matrix
 
 __all__ = ["main"]
 
@@ -72,11 +72,13 @@ def _load(args: argparse.Namespace) -> tuple[SemanticNet | None, int]:
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None, 2
+    if fmt == "pnet":
+        from .dsl import ParseError as LoadError, parse_net as load
+    else:
+        from .io import SchemaError as LoadError, from_json as load
     try:
-        if fmt == "pnet":
-            return dsl.parse_net(text), 0
-        return net_io.from_json(text), 0
-    except (dsl.ParseError, net_io.SchemaError) as exc:
+        return load(text), 0
+    except LoadError as exc:
         print(str(exc), file=sys.stderr)  # line:col: or $.json.path: message
         return None, 1
 
@@ -137,6 +139,7 @@ def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
 
 
 def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    from .matrix import adjacency_tensor, membership_matrix
     mm = membership_matrix(net)
     tensor = adjacency_tensor(net)
     channels = net.mode.channel_names
@@ -154,10 +157,12 @@ def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
 
 
 def _cmd_render(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
-    return 0, net_io.to_dot(net)
+    from .io import to_dot
+    return 0, to_dot(net)
 
 
 def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    from .analysis import Polarity, polar_select
     vertex = net.find_vertex(args.vertex)
     if vertex is None:
         print(f"unknown vertex label: {args.vertex}", file=sys.stderr)
@@ -173,6 +178,7 @@ def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+    from .analysis import net_polarity
     try:
         summary, label = net_polarity(net)
     except NetError as exc:
@@ -183,7 +189,11 @@ def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
 
 
 def _cmd_convert(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
-    return 0, (net_io.to_json(net) if args.target == "json" else dsl.format_net(net))
+    if args.target == "json":
+        from .io import to_json
+        return 0, to_json(net)
+    from .dsl import format_net
+    return 0, format_net(net)
 
 
 # Each command returns its exit code and the text it writes to stdout.

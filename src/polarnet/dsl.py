@@ -32,7 +32,6 @@ worded the same whichever way a line was first tried.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
                    fmt_number)
@@ -80,13 +79,18 @@ class ParseError(Exception):
         return type(self), (self.line, self.column, self.message)
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # word | num | inum | quoted | ( | ) | , | ->
-    text: str
-    col: int  # 1-based
-    value: float | None = None
-    string: str | None = None
+    """One token of a statement line, read by attribute only."""
+
+    __slots__ = ("kind", "text", "col", "value", "string")
+
+    def __init__(self, kind: str, text: str, col: int,
+                 value: float | None = None, string: str | None = None):
+        self.kind = kind  # word | num | inum | quoted | ( | ) | , | ->
+        self.text = text
+        self.col = col  # 1-based
+        self.value = value
+        self.string = string
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:

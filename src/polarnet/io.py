@@ -30,7 +30,6 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .analysis import normalize
 from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
@@ -131,15 +130,15 @@ def _triple(obj: dict, key: str, path: str,
     for k, entry in enumerate(entries):
         if type(entry) is not dict:
             problem = "object expected"
-        elif len(entry) != 1 or ("d" not in entry and "i" not in entry):
+        elif len(entry) != 1 or not ((flag := "i" in entry) or "d" in entry):
             problem = 'exactly one of "d" or "i" expected'
-        elif (x := _number(entry.get("d", entry.get("i")))) is None:
+        elif (x := _number(entry["i" if flag else "d"])) is None:
             problem = "number expected"
         else:
-            flagged = (x, "i" in entry)
+            flagged = (x, flag)
             try:
                 triple.append(values.get(flagged)
-                              or values.setdefault(flagged, NeutroValue(*flagged)))
+                              or values.setdefault(flagged, NeutroValue(x, flag)))
                 continue
             except NetError as exc:
                 problem = str(exc)
@@ -239,6 +238,7 @@ def to_dot(net: SemanticNet) -> str:
     the relation word and raw degree triple; indeterminate edges are dotted.
     Vertex labels go unescaped: they are identifiers, with nothing to escape.
     """
+    from .analysis import normalize  # here, so that loading JSON skips analysis
     out = ["digraph {"] if not net.name else [
         f'digraph "{_dot_escape(net.name)}" {{']
     indeterminate_count = 0
