@@ -10,7 +10,7 @@ from polarnet.io import from_json
 
 
 def load(path: Path):
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # as the CLI reads it
     return from_json(text) if path.suffix == ".json" else parse_net(text)
 
 

@@ -73,21 +73,14 @@ def normalize(triple: ChannelTriple,
     """Map a channel triple onto [0, 1] by the per-channel maxima.
 
     Indeterminacy entries contribute 0 to their component and set
-    ``has_indeterminacy``.  A degree above its maximum raises core's
-    range error.
+    ``has_indeterminacy``.  It takes any triple and any scale, so a degree
+    above its maximum raises core's range error.
     """
-    problem = scale_problem((triple,), scale)
-    if problem:
+    if problem := scale_problem(triple, scale):
         raise problem
-    components = []
-    flag = False
-    for val, mx in zip(triple, scale):
-        if val.indeterminate:
-            components.append(0.0)
-            flag = True
-        else:
-            components.append(val.magnitude / mx)
-    return NormalizedTriple(*components, has_indeterminacy=flag)
+    return NormalizedTriple(*[0.0 if val.indeterminate else val.magnitude / mx
+                              for val, mx in zip(triple, scale)],
+                            has_indeterminacy=triple.has_indeterminate)
 
 
 def combine(edge: NormalizedTriple, neighbor: NormalizedTriple) -> NormalizedTriple:
@@ -117,7 +110,8 @@ def polar_select(net: SemanticNet, vertex_id: int,
 
     The scores are ``polarity_score(combine(normalize(weight),
     normalize(membership)))`` written out on the raw entries, with the same
-    floating-point expressions in the same order.
+    floating-point expressions in the same order, on entries that
+    construction already put within ``net.scale``.
     """
     net.vertex(vertex_id)
     if preference is Polarity.POSITIVE:
@@ -128,16 +122,13 @@ def polar_select(net: SemanticNet, vertex_id: int,
         def key(item): return (-item[1].combined.u, item[0])
     else:
         raise NetError(f"unknown preference {preference!r}")
-    s1, s2, s3 = scale = net.scale
+    s1, s2, s3 = net.scale
     vertices = net._vertices
     entries = []
     # ``vertex`` has rejected a bad id, so the out-edges are read in place
     for e in net._out.get(vertex_id, {}).values():
         neighbor = vertices[e.dst]
         w, m = e.weight, neighbor.membership
-        problem = scale_problem((w, m), scale)
-        if problem:
-            raise problem
         w1, w2, w3, m1, m2, m3 = w.c1, w.c2, w.c3, m.c1, m.c2, m.c3
         p = ((0.0 if w1.indeterminate else w1.magnitude / s1)
              + (0.0 if m1.indeterminate else m1.magnitude / s1)) / 2.0
@@ -164,15 +155,12 @@ def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     Each channel is the builtin ``sum`` of the per-entry ``normalize``
     terms, memberships then weights, so the summary is bit-identical to
     summing normalized triples (Python 3.12+ compensates that sum).
+    Construction already put every entry within ``net.scale``.
     """
-    vertices, scale = net._vertices, net.scale
-    if not vertices:
+    if not net._vertices:
         raise NetError("empty net has no polarity")
-    triples = [v.membership for v in vertices] + [e.weight for e in net._edges]
-    problem = scale_problem(triples, scale)
-    if problem:
-        raise problem
-    s1, s2, s3 = scale
+    triples = [v.membership for v in net._vertices] + [e.weight for e in net._edges]
+    s1, s2, s3 = net.scale
     count = len(triples)
     summary = NormalizedTriple(
         sum([0.0 if t.c1.indeterminate else t.c1.magnitude / s1

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -90,7 +90,8 @@ class NetMode(Enum):
 
 def _float(x: int | float) -> float:
     """``float(x)``; an int beyond the float range becomes an infinity of its
-    sign, so the finiteness checks reject it as they reject ``1e999``."""
+    sign, so the finiteness checks reject it as they reject ``1e999``.  The
+    JSON loader passes its ints here unconverted."""
     try:
         return float(x)
     except OverflowError:
@@ -322,24 +323,23 @@ def entry_problem(k: int | None, value: NeutroValue,
     return NetError(text, kind, k)
 
 
-def scale_problem(triples: Iterable[ChannelTriple],
+def scale_problem(triple: ChannelTriple,
                   scale: tuple[float, float, float]) -> NetError | None:
-    """The range error of the first determinate degree above its channel
-    maximum in ``scale``, over ``triples`` in order, or None.
+    """The range error of the first determinate degree of ``triple`` above
+    its channel maximum in ``scale``, or None.
 
     Values check their own type, coefficient and finiteness when built, so
     one compare per channel is the whole check; ``entry_problem`` words a
-    failure.  Construction and ``analysis`` both check the range here.
+    failure.  Construction and ``analysis.normalize`` check the range here.
     """
     s1, s2, s3 = scale
-    for t in triples:
-        a, b, c = t.c1, t.c2, t.c3
-        if a.magnitude > s1 and not a.indeterminate:
-            return entry_problem(1, a, s1)
-        if b.magnitude > s2 and not b.indeterminate:
-            return entry_problem(2, b, s2)
-        if c.magnitude > s3 and not c.indeterminate:
-            return entry_problem(3, c, s3)
+    a, b, c = triple.c1, triple.c2, triple.c3
+    if a.magnitude > s1 and not a.indeterminate:
+        return entry_problem(1, a, s1)
+    if b.magnitude > s2 and not b.indeterminate:
+        return entry_problem(2, b, s2)
+    if c.magnitude > s3 and not c.indeterminate:
+        return entry_problem(3, c, s3)
     return None
 
 
@@ -576,7 +576,6 @@ class SemanticNet:
         """``triple`` as a ChannelTriple; raises its first degree above scale.
         Crispness is left to ``validate``."""
         triple = _coerce_triple(triple)
-        problem = scale_problem((triple,), self._scale)
-        if problem:
+        if problem := scale_problem(triple, self._scale):
             raise problem
         return triple

@@ -82,14 +82,13 @@ class ParseError(Exception):
 class _Token:
     """One token of a statement line, read by attribute only."""
 
-    __slots__ = ("kind", "text", "col", "value", "string")
+    __slots__ = ("kind", "text", "col", "string")
 
     def __init__(self, kind: str, text: str, col: int,
-                 value: float | None = None, string: str | None = None):
+                 string: str | None = None):
         self.kind = kind  # word | num | inum | quoted | ( | ) | , | ->
         self.text = text
         self.col = col  # 1-based
-        self.value = value
         self.string = string
 
 
@@ -143,17 +142,14 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             continue
         m = _NUM_RE.match(line, pos)
         if m:
-            text = m.group(0)
             end = m.end()
             kind = "num"
             if end < n and line[end] == "I":
-                kind = "inum"
-                end += 1
-                text = line[pos:end]
+                kind, end = "inum", end + 1
             if end < n and (line[end].isalnum() or line[end] in "_."):
                 raise ParseError(lineno, col, f"malformed number starting "
                                  f"at {line[pos:end + 1]!r}")
-            tokens.append(_Token(kind, text, col, value=float(m.group(0))))
+            tokens.append(_Token(kind, line[pos:end], col))
             pos = end
             continue
         m = _WORD_RE.match(line, pos)
@@ -208,17 +204,11 @@ def _parse_value(cur: _Cursor) -> tuple[NeutroValue, _Token]:
     tok = cur.peek()
     if tok is None:
         raise cur._fail("degree value expected")
-    if tok.kind == "num":
-        make, number = NeutroValue.determinate, tok.value
-    elif tok.kind == "inum":
-        make, number = NeutroValue.indeterminacy, tok.value
-    elif tok.kind == "word" and tok.text == "I":
-        make, number = NeutroValue.indeterminacy, 1.0
-    else:
+    if not (tok.kind in ("num", "inum") or tok.kind == "word" and tok.text == "I"):
         raise cur._fail(f"degree value expected, found {tok.text!r}", tok)
     cur.pos += 1
     try:
-        return make(number), tok
+        return _value(tok.text), tok
     except NetError as exc:
         raise ParseError(cur.lineno, tok.col, str(exc)) from exc
 
@@ -249,7 +239,7 @@ def _parse_header(cur: _Cursor) -> SemanticNet:
         return SemanticNet(mode, name)
     tokens = [cur.take("num", f"channel {k} scale") for k in range(1, 4)]
     try:
-        return SemanticNet(mode, name, tuple(tok.value for tok in tokens))
+        return SemanticNet(mode, name, tuple(float(tok.text) for tok in tokens))
     except NetError as exc:
         raise ParseError(cur.lineno, tokens[exc.channel - 1].col, str(exc)) from exc
 
@@ -302,10 +292,8 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
 
 
 def _value(text: str) -> NeutroValue:
-    if text == "I":
-        return NeutroValue.indeterminacy(1.0)
-    if text[-1] == "I":
-        return NeutroValue.indeterminacy(float(text[:-1]))
+    if text[-1] == "I":  # a bare "I" has coefficient 1
+        return NeutroValue.indeterminacy(float(text[:-1] or 1.0))
     return NeutroValue.determinate(float(text))
 
 

@@ -13,8 +13,9 @@ short::
 
 A channel entry is ``{"d": x}`` for a determinate degree or ``{"i": n}``
 for the indeterminacy n*I, with x and n numbers.  ``mode``, ``name`` and
-``label`` are strings, ``scale`` is three numbers, ``id``, ``src`` and
-``dst`` are integers (``true`` is none) and ``indeterminate`` is a boolean.
+``label`` are strings (a name or edge label holds no lone surrogate),
+``scale`` is three numbers, ``id``, ``src`` and ``dst`` are integers
+(``true`` is none) and ``indeterminate`` is a boolean.
 Optional: ``indeterminate`` (default false), an edge's ``label`` (default
 "") and ``directed``, which must be true if present.  Vertex ids, which
 ``src`` and ``dst`` refer to, are any distinct integers; the loaded net
@@ -25,9 +26,6 @@ invariant, and its error is reported at the JSON path it concerns, like
 """
 from __future__ import annotations
 
-import json
-import math
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
@@ -65,10 +63,9 @@ def _array(items: str) -> str:
 
 def to_json(net: SemanticNet) -> str:
     """Serialize a net to its canonical JSON document.  Construction keeps
-    every number finite; a non-finite scale raises ``ValueError``."""
+    every number finite, so each is written as its ``repr``."""
+    from json.encoder import encode_basestring_ascii as _quote
     scale = net.scale
-    if not all(map(math.isfinite, scale)):
-        raise ValueError(f"JSON cannot write the non-finite scale {scale!r}")
     vertices = ",\n".join(
         f'    {{\n      "id": {v.id},\n      "label": {_quote(v.label)},\n'
         f'      "indeterminate": {"true" if v.indeterminate else "false"},\n'
@@ -102,25 +99,25 @@ def _field(obj: dict, key: str, path: str, kind: type,
                       else f"{_KIND_WORDS[kind]} expected")
 
 
-def _number(value: Any) -> float | None:
-    """A JSON number as a float, else None.  Core rejects the non-finite
-    floats that NaN, Infinity and 1e999 load as, and the caller locates it."""
-    if type(value) is not int:
-        return value if type(value) is float else None
+def _text(obj: dict, key: str, path: str, default: Any = _MISSING) -> str:
+    """``_field`` for a name or edge label, which output encodes as UTF-8, so
+    it cannot hold the lone surrogate that a JSON escape can spell."""
+    text = _field(obj, key, path, str, default)
     try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return math.inf
+        text.encode()
+    except UnicodeEncodeError:
+        raise SchemaError(f"{path}.{key}", "lone surrogate in string") from None
+    return text
 
 
 def _triple(obj: dict, key: str, path: str,
             values: dict[tuple[float, bool], NeutroValue]) -> ChannelTriple:
     """The channel entries ``obj[key]`` of the element at ``path``.
 
-    Values are immutable, so one load shares a value among equal entries
-    through ``values``, keyed by number and flag as ``NeutroValue`` takes
-    them.  Only a value that was built is stored: a NaN, which no value
-    holds, never hits, and each bad entry fails at its own path.
+    Numbers go to core as ``json.loads`` built them.  Values are immutable,
+    so one load shares a value among equal entries through ``values``, keyed
+    by number and flag as ``NeutroValue`` takes them.  Only a value that was
+    built is stored: a NaN never hits, and each bad entry fails at its path.
     """
     entries = _field(obj, key, path, list)
     if len(entries) != 3:
@@ -132,7 +129,7 @@ def _triple(obj: dict, key: str, path: str,
             problem = "object expected"
         elif len(entry) != 1 or not ((flag := "i" in entry) or "d" in entry):
             problem = 'exactly one of "d" or "i" expected'
-        elif (x := _number(entry["i" if flag else "d"])) is None:
+        elif type(x := entry["i" if flag else "d"]) not in (int, float):
             problem = "number expected"
         else:
             flagged = (x, flag)
@@ -148,6 +145,7 @@ def _triple(obj: dict, key: str, path: str,
 
 def from_json(text: str) -> SemanticNet:
     """Load a net; a :class:`SchemaError` locates the first problem in ``text``."""
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -156,6 +154,8 @@ def from_json(text: str) -> SemanticNet:
     except RecursionError:
         raise SchemaError("$", "malformed JSON: arrays or objects nested "
                           "too deeply") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise SchemaError("$", f"malformed JSON: {exc}") from exc
     if type(doc) is not dict:
         raise SchemaError("$", "object expected")
     mode_name = _field(doc, "mode", "$", str)
@@ -164,12 +164,12 @@ def from_json(text: str) -> SemanticNet:
     except ValueError:
         raise SchemaError("$.mode", f"unknown mode {mode_name!r} "
                           "(expected FNSN, PNSN or PFNSN)") from None
-    name = _field(doc, "name", "$", str)
-    scale = tuple(map(_number, _field(doc, "scale", "$", list)))
+    name = _text(doc, "name", "$")
+    scale = _field(doc, "scale", "$", list)
     if len(scale) != 3:
         raise SchemaError("$.scale", f"3 components expected, got {len(scale)}")
-    if None in scale:
-        raise SchemaError(f"$.scale[{scale.index(None)}]", "number expected")
+    if bad := [k for k, s in enumerate(scale) if type(s) not in (int, float)]:
+        raise SchemaError(f"$.scale[{bad[0]}]", "number expected")
     try:
         net = SemanticNet(mode, name, scale)
     except NetError as exc:
@@ -204,7 +204,7 @@ def from_json(text: str) -> SemanticNet:
         dst = _field(obj, "dst", path, int)
         if dst not in id_map:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        label = _field(obj, "label", path, str, "")
+        label = _text(obj, "label", path, "")
         indeterminate = _field(obj, "indeterminate", path, bool, False)
         weight = _triple(obj, "weight", path, values)
         try:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from polarnet.cli import main
 from polarnet.core import NetMode, SemanticNet
 from polarnet.dsl import format_net
-from polarnet.io import to_dot
+from polarnet.io import to_dot, to_json
 
 from strategies import json_documents, mutated_pnet
 
@@ -245,6 +245,38 @@ def test_deeply_nested_json_exits_one_with_location(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("$: ") and "nested too deeply" in err
+
+
+def _s1_document(tmp_path, s1_net, replace, by):
+    """S1's JSON form with the text ``replace`` swapped for ``by``."""
+    path = tmp_path / "s1.json"
+    text = json.dumps(json.loads(to_json(s1_net)))
+    assert replace in text
+    path.write_text(text.replace(replace, by, 1), encoding="utf-8")
+    return str(path)
+
+
+def test_json_integer_over_the_digit_limit_exits_one_with_location(
+        capsys, tmp_path, s1_net):
+    path = _s1_document(tmp_path, s1_net, '{"d": 2.4}', '{"d": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("$") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["render"],
+                                     ["convert", "--to", "pnet"]])
+@pytest.mark.parametrize("replace,by,location", [
+    ('"name": "', '"name": "x\\ud800', "$.name: "),
+    ('"label": "rather"', '"label": "\\udfff"', "$.edges[0].label: "),
+], ids=["name", "edge-label"])
+def test_json_lone_surrogate_exits_one_with_location(capsys, tmp_path, s1_net,
+                                                     command, replace, by,
+                                                     location):
+    path = _s1_document(tmp_path, s1_net, replace, by)
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, out) == (1, "")
+    assert err == f"{location}lone surrogate in string\n"
 
 
 _COMMANDS = [["validate"], ["classify"], ["matrices"], ["render"], ["polarity"],

@@ -469,13 +469,6 @@ def test_load_errors_survive_pickling(error, fields):
     assert str(copy) == str(error)
 
 
-def test_to_json_never_writes_non_finite_numbers():
-    net = SemanticNet(NetMode.FNSN, "x")
-    net._scale = (math.inf, 2.0, 1.0)  # no public way to build this net
-    with pytest.raises(ValueError):
-        to_json(net)
-
-
 @given(json_documents())
 def test_from_json_is_total(text):
     try:
@@ -554,3 +547,42 @@ def test_a_shared_value_above_scale_is_located_at_its_own_entry():
     assert info.value.path == "$.vertices[1].membership[2]"
     assert info.value.message == str(core_error.value) == \
         "channel 3 degree 2 exceeds scale 1"
+
+
+_HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("memberships,path,message", [
+    ([f'{{"d": {_HUGE}}}', '{"d": 0}', '{"d": 0}'], "$.vertices[0].membership[0]",
+     "determinate degree inf is not a finite nonnegative real"),
+    (['{"d": 0}', f'{{"i": {_HUGE}}}', '{"d": 0}'], "$.vertices[0].membership[1]",
+     "indeterminacy coefficient inf outside (0, 1]"),
+    (['{"d": 0}', '{"d": 0}', f'{{"d": -{_HUGE}}}'], "$.vertices[0].membership[2]",
+     "determinate degree -inf is not a finite nonnegative real"),
+], ids=["degree", "coefficient", "negative-degree"])
+def test_an_integer_beyond_the_float_range_is_a_located_non_finite_error(
+        memberships, path, message):
+    # Core maps the integer to an infinity of its sign, as for any caller.
+    with pytest.raises(SchemaError) as info:
+        from_json(_raw_document([memberships]))
+    assert (info.value.path, info.value.message) == (path, message)
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda doc: doc.update(name="x\ud800"), "$.name"),
+    (lambda doc: doc["edges"][1].update(label="\udfff"), "$.edges[1].label"),
+], ids=["name", "edge-label"])
+def test_a_lone_surrogate_is_rejected_at_its_path(s1_net, mutate, path):
+    doc = json.loads(to_json(s1_net))
+    mutate(doc)
+    text = json.dumps(doc)  # writes the surrogate as a \u escape
+    with pytest.raises(SchemaError) as info:
+        from_json(text)
+    assert (info.value.path, info.value.message) == (path, "lone surrogate in string")
+
+
+def test_a_surrogate_pair_loads_as_one_character(s1_net):
+    doc = json.loads(to_json(s1_net))
+    doc["name"] = doc["edges"][1]["label"] = "x\U0001F600"
+    net = from_json(json.dumps(doc))
+    assert net.name == net.edges[1].label == "x\U0001F600"

@@ -111,6 +111,16 @@ def test_pnet_classify_child_skips_analysis_matrix_io_and_json(fixtures_dir,
     assert skipped & loaded == set()
 
 
+def test_pnet_render_child_skips_json_and_matrix(fixtures_dir, preloaded):
+    loaded = _modules(_RUN_CLI, "render", str(fixtures_dir / "s1.pnet"))
+    assert {"polarnet.cli", "polarnet.dsl", "polarnet.io",
+            "polarnet.analysis"} <= loaded
+    skipped = {"polarnet.matrix"}
+    if "json" not in preloaded:
+        skipped.add("json")
+    assert skipped & loaded == set()
+
+
 def test_json_validate_child_skips_dsl_analysis_and_matrix(tmp_path, s1_net):
     path = tmp_path / "s1.json"
     path.write_text(polarnet.to_json(s1_net), encoding="utf-8")
