@@ -2,27 +2,30 @@
 """Polarity report for a net file: the whole-net label plus, for every
 vertex with out-neighbors, its ranked selection under a chosen preference."""
 import argparse
+import sys
 from pathlib import Path
 
 from polarnet.analysis import Polarity, net_polarity, polar_select
-from polarnet.dsl import parse_net
-from polarnet.io import from_json
+from polarnet.cli import ReadError, read_net
+from polarnet.core import NetError
 
 
-def load(path: Path):
-    text = path.read_text(encoding="utf-8-sig")  # as the CLI reads it
-    return from_json(text) if path.suffix == ".json" else parse_net(text)
-
-
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file", type=Path, help="input net (.pnet or .json)")
     parser.add_argument("--prefer", default="positive",
                         choices=[p.value for p in Polarity])
     args = parser.parse_args()
 
-    net = load(args.file)
-    summary, label = net_polarity(net)
+    try:
+        net = read_net(args.file)
+        summary, label = net_polarity(net)
+    except ReadError as exc:  # as `polarnet polarity` exits
+        print(exc, file=sys.stderr)
+        return exc.code
+    except NetError as exc:  # an empty net has no polarity
+        print(exc, file=sys.stderr)
+        return 1
     print(f"net {net.name!r} ({net.mode.value}): {label.value} "
           f"(p={summary.p:.3f}, u={summary.u:.3f}, n={summary.n:.3f})")
     preference = Polarity(args.prefer)
@@ -34,7 +37,8 @@ def main() -> None:
         ranked = ", ".join(f"{labels[r.vertex_id]} ({r.score:+.2f})"
                            for r in result.ranked)
         print(f"  {vertex.label} -> {ranked}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

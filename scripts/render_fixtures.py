@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Render every fixtures/*.pnet file to a DOT document under build/dot/."""
 import argparse
+import sys
 from pathlib import Path
 
-from polarnet.dsl import parse_net
+from polarnet.cli import ReadError, read_net
 from polarnet.io import to_dot
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fixtures", type=Path, default=Path("fixtures"),
                         help="directory of .pnet files")
@@ -17,11 +18,16 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     for path in sorted(args.fixtures.glob("*.pnet")):
-        net = parse_net(path.read_text(encoding="utf-8"))
+        try:
+            net = read_net(path)
+        except ReadError as exc:  # as `polarnet render` exits
+            print(exc, file=sys.stderr)
+            return exc.code
         target = args.out / (path.stem + ".dot")
         target.write_text(to_dot(net), encoding="utf-8")
         print(f"{path} -> {target}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

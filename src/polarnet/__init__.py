@@ -26,40 +26,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "DEFAULT_SCALE",
-    "AdjacencyTensor",
-    "ChannelTriple",
-    "Edge",
-    "GraphClass",
-    "MembershipMatrix",
-    "NetError",
-    "NetMode",
-    "NeutroValue",
-    "NormalizedTriple",
-    "Order",
-    "ParseError",
-    "Polarity",
-    "RankedNeighbor",
-    "SchemaError",
-    "SelectionResult",
-    "SemanticNet",
-    "Vertex",
-    "Violation",
-    "adjacency_tensor",
-    "combine",
-    "format_net",
-    "from_json",
-    "from_matrices",
-    "membership_matrix",
-    "net_polarity",
-    "normalize",
-    "parse_net",
-    "polar_select",
-    "polarity_score",
-    "to_dot",
-    "to_json",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

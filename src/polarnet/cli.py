@@ -6,9 +6,10 @@ that cannot be written.  Diagnostics go to stderr, data to stdout as UTF-8
 whatever the locale.  A reader that closes stdout early ends the output
 quietly, with the command's own exit code.
 
-Beyond ``core``, the loader and each command import what they use when they
-run, so one ``python -m polarnet`` process loads only the modules its command
-and input format need.
+``read_net`` is the one way a net file is read, here and in ``scripts/``.
+Beyond ``core``, it and each command import what they use when they run,
+so one ``python -m polarnet`` process loads only the modules its command and
+input format need.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .core import NetError, SemanticNet
 
-__all__ = ["main"]
+__all__ = ["ReadError", "main", "read_net"]
 
 _FORMATS = {".pnet": "pnet", ".json": "json"}
 
@@ -54,33 +55,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> tuple[SemanticNet | None, int]:
-    path = Path(args.file)
-    fmt = args.format or _FORMATS.get(path.suffix)
+class ReadError(Exception):
+    """A net file that cannot be read: the CLI prints it and exits ``code``."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def read_net(path: str | os.PathLike[str], fmt: str | None = None) -> SemanticNet:
+    """Read the net in ``path`` as ``fmt`` ("pnet" or "json"), else by suffix.
+
+    A leading byte order mark is skipped.  Every failure raises ReadError.
+    """
+    path = Path(path)
+    fmt = fmt or _FORMATS.get(path.suffix)
     if fmt is None:
-        print(f"cannot infer format of {path} (use --format pnet|json)",
-              file=sys.stderr)
-        return None, 2
+        raise ReadError(f"cannot infer format of {path} (use --format pnet|json)", 2)
     if not path.is_file():
-        print(f"no such file: {path}", file=sys.stderr)
-        return None, 2
+        raise ReadError(f"no such file: {path}", 2)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        print(f"{path} is not valid UTF-8: {exc}", file=sys.stderr)
-        return None, 1
+        raise ReadError(f"{path} is not valid UTF-8: {exc}", 1) from exc
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None, 2
+        raise ReadError(f"cannot read {path}: {exc}", 2) from exc
     if fmt == "pnet":
         from .dsl import ParseError as LoadError, parse_net as load
     else:
         from .io import SchemaError as LoadError, from_json as load
     try:
-        return load(text), 0
+        return load(text)
     except LoadError as exc:
-        print(str(exc), file=sys.stderr)  # line:col: or $.json.path: message
-        return None, 1
+        raise ReadError(str(exc), 1) from exc  # line:col: or $.json.path: …
 
 
 def _write(text: str, output: str | None) -> int:
@@ -205,8 +212,10 @@ _COMMANDS = {"validate": _cmd_validate, "classify": _cmd_classify,
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    net, code = _load(args)
-    if net is None:
-        return code
+    try:
+        net = read_net(args.file, args.format)
+    except ReadError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     code, text = _COMMANDS[args.command](net, args)
     return _write(text, getattr(args, "output", None)) or code

@@ -216,6 +216,54 @@ class TestErrorHandling:
         assert info.value.code == 2
 
 
+# -- reading the input file: each failure's exact stderr and exit code ----------
+
+def test_missing_file_message_and_code(capsys, tmp_path):
+    path = tmp_path / "missing.pnet"
+    assert run(capsys, "classify", str(path)) == (2, "", f"no such file: {path}\n")
+
+
+def test_unknown_extension_message_and_code(capsys, tmp_path):
+    path = tmp_path / "net.txt"
+    path.write_text('net fnsn "x"\n', encoding="utf-8")
+    assert run(capsys, "classify", str(path)) == (
+        2, "", f"cannot infer format of {path} (use --format pnet|json)\n")
+
+
+@pytest.mark.parametrize("name", ["bad.pnet", "bad.json"])
+def test_file_that_is_not_utf8_message_and_code(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b'ab\xffc')
+    assert run(capsys, "classify", str(path)) == (
+        1, "", f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte "
+               "0xff in position 2: invalid start byte\n")
+
+
+def test_unreadable_file_message_and_code(capsys, tmp_path, monkeypatch,
+                                          fixtures_dir):
+    path = tmp_path / "s1.pnet"
+    path.write_bytes((fixtures_dir / "s1.pnet").read_bytes())
+
+    def refuse(self, *args, **kwargs):  # file modes do not stop root
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert run(capsys, "classify", str(path)) == (
+        2, "", f"cannot read {path}: [Errno 13] Permission denied\n")
+
+
+@pytest.mark.parametrize("suffix", [".pnet", ".json"])
+def test_byte_order_mark_is_ignored(capsys, tmp_path, s3_net, suffix):
+    text = to_json(s3_net) if suffix == ".json" else format_net(s3_net)
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for command in (["convert", "--to", "json"], ["polarity"]):
+        expected = run(capsys, command[0], str(plain), *command[1:])
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, command[0], str(marked), *command[1:]) == expected
+
+
 def test_output_is_deterministic(capsys, fixtures_dir):
     first = run(capsys, "matrices", fixture(fixtures_dir, "s3.pnet"))
     second = run(capsys, "matrices", fixture(fixtures_dir, "s3.pnet"))
