@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from polarnet.analysis import Polarity, net_polarity, polar_select
-from polarnet.cli import ReadError, read_net
+from polarnet.cli import ReadError, read_net, write_output
 from polarnet.core import NetError
 
 
@@ -26,8 +26,8 @@ def main() -> int:
     except NetError as exc:  # an empty net has no polarity
         print(exc, file=sys.stderr)
         return 1
-    print(f"net {net.name!r} ({net.mode.value}): {label.value} "
-          f"(p={summary.p:.3f}, u={summary.u:.3f}, n={summary.n:.3f})")
+    lines = [f"net {net.name!r} ({net.mode.value}): {label.value} "
+             f"(p={summary.p:.3f}, u={summary.u:.3f}, n={summary.n:.3f})\n"]
     preference = Polarity(args.prefer)
     labels = {v.id: v.label for v in net.vertices}
     for vertex in net.vertices:
@@ -36,8 +36,8 @@ def main() -> int:
             continue
         ranked = ", ".join(f"{labels[r.vertex_id]} ({r.score:+.2f})"
                            for r in result.ranked)
-        print(f"  {vertex.label} -> {ranked}")
-    return 0
+        lines.append(f"  {vertex.label} -> {ranked}\n")
+    return write_output("".join(lines))  # as `polarnet polarity` writes
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from polarnet.cli import ReadError, read_net
+from polarnet.cli import ReadError, read_net, write_output
 from polarnet.io import to_dot
 
 
@@ -16,7 +16,11 @@ def main() -> int:
                         help="output directory for .dot files")
     args = parser.parse_args()
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # as `polarnet render -o` fails
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     for path in sorted(args.fixtures.glob("*.pnet")):
         try:
             net = read_net(path)
@@ -24,8 +28,10 @@ def main() -> int:
             print(exc, file=sys.stderr)
             return exc.code
         target = args.out / (path.stem + ".dot")
-        target.write_text(to_dot(net), encoding="utf-8")
-        print(f"{path} -> {target}")
+        code = (write_output(to_dot(net), target)
+                or write_output(f"{path} -> {target}\n"))
+        if code:
+            return code
     return 0
 
 

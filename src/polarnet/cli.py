@@ -6,7 +6,8 @@ that cannot be written.  Diagnostics go to stderr, data to stdout as UTF-8
 whatever the locale.  A reader that closes stdout early ends the output
 quietly, with the command's own exit code.
 
-``read_net`` is the one way a net file is read, here and in ``scripts/``.
+``read_net`` is the one way a net file is read, and ``write_output`` the one
+way output is written, here and in ``scripts/``.
 Beyond ``core``, it and each command import what they use when they run,
 so one ``python -m polarnet`` process loads only the modules its command and
 input format need.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .core import NetError, SemanticNet
 
-__all__ = ["ReadError", "main", "read_net"]
+__all__ = ["ReadError", "main", "read_net", "write_output"]
 
 _FORMATS = {".pnet": "pnet", ".json": "json"}
 
@@ -90,10 +91,12 @@ def read_net(path: str | os.PathLike[str], fmt: str | None = None) -> SemanticNe
         raise ReadError(str(exc), 1) from exc  # line:col: or $.json.path: …
 
 
-def _write(text: str, output: str | None) -> int:
+def write_output(text: str, output: str | os.PathLike[str] | None = None) -> int:
     """Write ``text`` as UTF-8 to the file ``output``, else to stdout.
 
-    All data leaves the CLI here.  Returns 2 when it cannot be written.
+    All data leaves the CLI here.  Returns 2, after a ``cannot write …``
+    message on stderr, when it cannot be written; returns 0 when stdout's
+    reader has gone, ending the output quietly.
     """
     if output is None and sys.stdout is None:  # started with stdout closed
         print("cannot write <stdout>: it is closed", file=sys.stderr)
@@ -218,4 +221,4 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return exc.code
     code, text = _COMMANDS[args.command](net, args)
-    return _write(text, getattr(args, "output", None)) or code
+    return write_output(text, getattr(args, "output", None)) or code

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -42,6 +42,7 @@ __all__ = [
     "scale_problem",
     "fmt_number",
     "is_valid_label",
+    "triple_formatter",
 ]
 
 #: Channel maxima implied by "complete" memberships in the example nets:
@@ -105,6 +106,13 @@ def fmt_number(x: float) -> str:
     return repr(x)
 
 
+def _entry_text(magnitude: float, indeterminate: bool) -> str:
+    """The text of a channel entry: a degree, ``nI``, or ``I`` for 1*I."""
+    if indeterminate:
+        return "I" if magnitude == 1.0 else fmt_number(magnitude) + "I"
+    return fmt_number(magnitude)
+
+
 # The value types below are frozen, slotted dataclasses whose hand-written
 # ``__init__`` stores each field through its slot descriptor, bound once after
 # the class; the generated one calls ``object.__setattr__`` per field.  ``==``,
@@ -118,17 +126,19 @@ class NeutroValue:
     indeterminate: bool = False
 
     def __init__(self, magnitude: float, indeterminate: bool = False) -> None:
-        if (not isinstance(magnitude, (int, float)) or type(magnitude) is bool
-                or type(indeterminate) is not bool):
-            raise TypeError(f"a degree must be a number and indeterminate a "
-                            f"bool, got {magnitude!r} and {indeterminate!r}")
+        if type(magnitude) is not float or type(indeterminate) is not bool:
+            if (not isinstance(magnitude, (int, float)) or type(magnitude) is bool
+                    or type(indeterminate) is not bool):
+                raise TypeError(f"a degree must be a number and indeterminate "
+                                f"a bool, got {magnitude!r} and {indeterminate!r}")
+            magnitude = _float(magnitude)
         # "or 0.0" stores -0.0 as 0.0, so equal values print and serialize
         # alike, and keeps any other float object without copying it
-        _set_magnitude(self, _float(magnitude) or 0.0)
+        _set_magnitude(self, magnitude or 0.0)
         _set_value_flag(self, indeterminate)
-        problem = entry_problem(None, self)
-        if problem:
-            raise problem
+        if not (0.0 < magnitude <= 1.0 if indeterminate
+                else 0.0 <= magnitude < math.inf):  # also NaN
+            raise entry_problem(None, self)
 
     @classmethod
     def determinate(cls, value: float) -> "NeutroValue":
@@ -144,11 +154,7 @@ class NeutroValue:
         return not self.indeterminate and self.magnitude == 0.0
 
     def __str__(self) -> str:
-        if self.indeterminate:
-            if self.magnitude == 1.0:
-                return "I"
-            return fmt_number(self.magnitude) + "I"
-        return fmt_number(self.magnitude)
+        return _entry_text(self.magnitude, self.indeterminate)
 
 
 _set_magnitude = NeutroValue.magnitude.__set__
@@ -204,6 +210,7 @@ _set_c1 = ChannelTriple.c1.__set__
 _set_c2 = ChannelTriple.c2.__set__
 _set_c3 = ChannelTriple.c3.__set__
 
+
 TripleLike = Union[ChannelTriple, tuple, list]
 
 
@@ -216,6 +223,40 @@ def _coerce_triple(triple: TripleLike) -> ChannelTriple:
     if len(triple) != 3:
         raise NetError(f"channel triple needs 3 entries, got {len(triple)}")
     return ChannelTriple.of(*triple)
+
+
+class _EntryTexts(dict):
+    """Entry texts of one flag by magnitude, each made at its first lookup."""
+
+    __slots__ = ("_indeterminate",)
+
+    def __init__(self, indeterminate: bool) -> None:
+        super().__init__()
+        self._indeterminate = indeterminate
+
+    def __missing__(self, magnitude: float) -> str:
+        text = self[magnitude] = _entry_text(magnitude, self._indeterminate)
+        return text
+
+
+def triple_formatter() -> Callable[[ChannelTriple], str]:
+    """A function that gives ``str(triple)``, formatting each distinct entry
+    once however many triples share it.
+
+    A writer makes one per output.  Entries are looked up by magnitude in
+    one dict per flag, so a hit costs no Python call; keying by the value
+    would call its dataclass ``__hash__``.  Equal magnitudes print alike,
+    since a value never holds -0.0 or NaN.
+    """
+    det, ind = _EntryTexts(False), _EntryTexts(True)
+
+    def text(triple: ChannelTriple) -> str:
+        a, b, c = triple.c1, triple.c2, triple.c3
+        return (f"({(ind if a.indeterminate else det)[a.magnitude]}, "
+                f"{(ind if b.indeterminate else det)[b.magnitude]}, "
+                f"{(ind if c.indeterminate else det)[c.magnitude]})")
+
+    return text
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -300,8 +341,8 @@ def entry_problem(k: int | None, value: NeutroValue,
 
     An indeterminacy needs a coefficient in (0, 1].  A determinate degree
     must be a finite nonnegative real no larger than the channel maximum
-    ``mx``.  The check is the same in every mode.  A value checks its own
-    domain with ``k`` None when it is built; a net and ``analysis.normalize``
+    ``mx``.  The check is the same in every mode.  A value built outside its
+    domain words the failure with ``k`` None; a net and ``analysis.normalize``
     pass the channel and its maximum to word a degree above scale.  A valid
     entry allocates nothing.
     """

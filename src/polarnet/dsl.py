@@ -23,18 +23,22 @@ is reported at the token it concerns: a channel problem at the value, a
 duplicate label at the label, a loop at the destination and a duplicate
 edge at the source.  Messages are core's, so they read the same as JSON's.
 
-After the header, a well-formed vertex or edge line is read with one regex
-match.  The header, every other line, and every line that would fail (no
-match, an unknown endpoint, or any error from core) go through the token
-parser, which alone raises :class:`ParseError`, so errors are located and
-worded the same whichever way a line was first tried.
+After the header, a line's first word picks the vertex or the edge
+pattern, and a well-formed line is read with that one regex match; equal
+value texts share one value.  The header, every other line, and every line
+that would fail (no match, an unknown endpoint, or any error from core) go
+through the token parser, which alone raises :class:`ParseError`, so errors
+are located and worded the same whichever way a line was first tried.
+
+``format_net`` writes each line from one f-string, and formats each
+distinct channel entry once per call.
 """
 from __future__ import annotations
 
 import re
 
 from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
-                   fmt_number)
+                   fmt_number, triple_formatter)
 
 __all__ = ["ParseError", "parse_net", "format_net"]
 
@@ -293,44 +297,56 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
 
 def _value(text: str) -> NeutroValue:
     if text[-1] == "I":  # a bare "I" has coefficient 1
-        return NeutroValue.indeterminacy(float(text[:-1] or 1.0))
-    return NeutroValue.determinate(float(text))
+        return NeutroValue(float(text[:-1] or 1.0), True)
+    return NeutroValue(float(text))
 
 
-def _triple(texts: list[str], values: dict[str, NeutroValue]) -> ChannelTriple:
-    # Values are immutable, so one parse shares a value among equal texts.
-    return ChannelTriple(*[values.get(text) or values.setdefault(text, _value(text))
-                           for text in texts])
+class _Values(dict):
+    """Values by their text, each built at its first lookup.  Values are
+    immutable, so one parse shares a value among equal texts."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> NeutroValue:
+        value = self[text] = _value(text)
+        return value
 
 
-def _add_statement(net: SemanticNet, line: str,
-                   values: dict[str, NeutroValue]) -> bool:
+def _add_statement(net: SemanticNet, line: str, values: _Values) -> bool:
     """Add a well-formed vertex or edge line to ``net`` with one match.
 
-    Returns False, leaving ``net`` unchanged, for any other line, including
-    one naming an unknown vertex or one that core rejects; the token parser
-    then reads that line and reports its error at the offending token.
+    The line's first word picks the pattern.  Returns False, leaving ``net``
+    unchanged, for any other line, including one naming an unknown vertex
+    or one that core rejects; the token parser then reads that line and
+    reports its error at the offending token.
     """
+    head = line.lstrip(" \t")
     try:
-        m = _VERTEX_LINE.fullmatch(line)
-        if m is not None:
-            label, *texts, flag = m.groups()
-            net.add_vertex(label, _triple(texts, values),
-                           indeterminate=flag is not None)
+        if head.startswith("edge"):
+            m = _EDGE_LINE.fullmatch(line)
+            if m is None:
+                return False
+            src_label, dst_label, label, t1, t2, t3, flag = m.groups()
+            by_label = net._by_label
+            src = by_label.get(src_label)
+            dst = by_label.get(dst_label)
+            if src is None or dst is None:
+                return False
+            if label and "\\" in label:
+                label = _ESCAPE_SEQ.sub(lambda esc: _ESCAPES[esc.group(1)], label)
+            net.add_edge(src.id, dst.id,
+                         ChannelTriple(values[t1], values[t2], values[t3]),
+                         label or "", flag is not None)
             return True
-        m = _EDGE_LINE.fullmatch(line)
-        if m is None:
-            return False
-        src_label, dst_label, label, *texts, flag = m.groups()
-        src = net.find_vertex(src_label)
-        dst = net.find_vertex(dst_label)
-        if src is None or dst is None:
-            return False
-        if label and "\\" in label:
-            label = _ESCAPE_SEQ.sub(lambda esc: _ESCAPES[esc.group(1)], label)
-        net.add_edge(src.id, dst.id, _triple(texts, values), label=label or "",
-                     indeterminate=flag is not None)
-        return True
+        if head.startswith("vertex"):
+            m = _VERTEX_LINE.fullmatch(line)
+            if m is None:
+                return False
+            label, t1, t2, t3, flag = m.groups()
+            net.add_vertex(label, ChannelTriple(values[t1], values[t2], values[t3]),
+                           flag is not None)
+            return True
+        return False
     except NetError:
         return False
 
@@ -343,7 +359,7 @@ def parse_net(source: str) -> SemanticNet:
             1-based line and column of the offending token.
     """
     net: SemanticNet | None = None
-    values: dict[str, NeutroValue] = {}
+    values = _Values()
     lines = source.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
@@ -388,20 +404,15 @@ def format_net(net: SemanticNet) -> str:
     insertion order, numbers printed with minimal digits, empty edge labels
     omitted.
     """
+    text = triple_formatter()
+    vertices = net._vertices
     lines = [f"net {net.mode.value.lower()} {_quote(net.name)} scale "
              + " ".join(fmt_number(s) for s in net.scale)]
-    vertices = net.vertices
-    for v in vertices:
-        line = f"vertex {v.label} {v.membership}"
-        if v.indeterminate:
-            line += " indeterminate"
-        lines.append(line)
-    for e in net.edges:
-        line = f"edge {vertices[e.src].label} -> {vertices[e.dst].label}"
-        if e.label:
-            line += f" label {_quote(e.label)}"
-        line += f" {e.weight}"
-        if e.indeterminate:
-            line += " indeterminate"
-        lines.append(line)
+    lines += [f"vertex {v.label} {text(v.membership)}"
+              f"{' indeterminate' if v.indeterminate else ''}"
+              for v in vertices]
+    lines += [f"edge {vertices[e.src].label} -> {vertices[e.dst].label}"
+              f"{f' label {_quote(e.label)}' if e.label else ''} {text(e.weight)}"
+              f"{' indeterminate' if e.indeterminate else ''}"
+              for e in net._edges]
     return "\n".join(lines) + "\n"

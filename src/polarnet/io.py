@@ -22,13 +22,22 @@ Optional: ``indeterminate`` (default false), an edge's ``label`` (default
 renumbers them by insertion position.  Documents are untrusted on input.
 The loader checks the schema and resolves vertex ids; core checks every net
 invariant, and its error is reported at the JSON path it concerns, like
-``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.
+``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.  A
+well-formed vertex or edge passes a few inline type tests and is added at
+once; any other is checked field by field, so the first problem is found
+and worded the same either way.  Equal numbers under one flag share one
+value within a load.
+
+``to_dot`` writes each line from one f-string, formats each distinct
+channel entry once per call and normalizes a membership inline, so it
+imports no ``analysis``.
 """
 from __future__ import annotations
 
 from typing import Any
 
-from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
+from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
+                   triple_formatter)
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
 
@@ -110,20 +119,49 @@ def _text(obj: dict, key: str, path: str, default: Any = _MISSING) -> str:
     return text
 
 
-def _triple(obj: dict, key: str, path: str,
-            values: dict[tuple[float, bool], NeutroValue]) -> ChannelTriple:
-    """The channel entries ``obj[key]`` of the element at ``path``.
+def _shared(entries: Any, det: dict[float, NeutroValue],
+            ind: dict[float, NeutroValue]) -> ChannelTriple | None:
+    """The triple of a well-formed ``membership`` or ``weight`` array whose
+    entries all build, else None; ``_triple`` then words the problem.
 
     Numbers go to core as ``json.loads`` built them.  Values are immutable,
-    so one load shares a value among equal entries through ``values``, keyed
-    by number and flag as ``NeutroValue`` takes them.  Only a value that was
-    built is stored: a NaN never hits, and each bad entry fails at its path.
+    so one load shares a value among equal entries through ``det`` and
+    ``ind``, keyed by number, one dict per flag.  Only a value that was built
+    is stored: a NaN never hits, and each bad entry fails at its path.
     """
+    if type(entries) is not list or len(entries) != 3:
+        return None
+    triple = []
+    for entry in entries:
+        if type(entry) is not dict or len(entry) != 1:
+            return None
+        if "d" in entry:
+            x, values, flag = entry["d"], det, False
+        elif "i" in entry:
+            x, values, flag = entry["i"], ind, True
+        else:
+            return None
+        # the type test comes first: ``true`` would hit the value of 1
+        if type(x) is not float and type(x) is not int:
+            return None
+        value = values.get(x)
+        if value is None:
+            try:
+                value = values[x] = NeutroValue(x, flag)
+            except NetError:
+                return None
+        triple.append(value)
+    return ChannelTriple(*triple)
+
+
+def _triple(obj: dict, key: str, path: str, det: dict[float, NeutroValue],
+            ind: dict[float, NeutroValue]) -> ChannelTriple:
+    """The channel entries ``obj[key]`` of the element at ``path``, through
+    ``_shared``; raises the first problem at its path."""
     entries = _field(obj, key, path, list)
     if len(entries) != 3:
         raise SchemaError(f"{path}.{key}",
                           f"3 channel entries expected, got {len(entries)}")
-    triple = []
     for k, entry in enumerate(entries):
         if type(entry) is not dict:
             problem = "object expected"
@@ -132,15 +170,13 @@ def _triple(obj: dict, key: str, path: str,
         elif type(x := entry["i" if flag else "d"]) not in (int, float):
             problem = "number expected"
         else:
-            flagged = (x, flag)
             try:
-                triple.append(values.get(flagged)
-                              or values.setdefault(flagged, NeutroValue(x, flag)))
+                NeutroValue(x, flag)
                 continue
             except NetError as exc:
                 problem = str(exc)
         raise SchemaError(f"{path}.{key}[{k}]", problem)
-    return ChannelTriple(*triple)
+    return _shared(entries, det, ind)
 
 
 def from_json(text: str) -> SemanticNet:
@@ -177,40 +213,57 @@ def from_json(text: str) -> SemanticNet:
     if doc.get("directed", True) is not True:
         raise SchemaError("$.directed", "only directed nets are supported")
 
+    # An element that passes the inline type tests is added at once; any
+    # other is checked field by field, and its first problem raised at its
+    # path, in the order the fields are read.
     id_map: dict[int, int] = {}
-    values: dict[tuple[float, bool], NeutroValue] = {}
+    det: dict[float, NeutroValue] = {}
+    ind: dict[float, NeutroValue] = {}
     for i, obj in enumerate(_field(doc, "vertices", "$", list)):
-        path = f"$.vertices[{i}]"
-        if type(obj) is not dict:
-            raise SchemaError(path, "object expected")
-        ext_id = _field(obj, "id", path, int)
-        if ext_id in id_map:
-            raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
-        label = _field(obj, "label", path, str)
-        indeterminate = _field(obj, "indeterminate", path, bool, False)
-        membership = _triple(obj, "membership", path, values)
+        if not (type(obj) is dict and type(ext_id := obj.get("id")) is int
+                and ext_id not in id_map
+                and type(label := obj.get("label")) is str
+                and type(flag := obj.get("indeterminate", False)) is bool
+                and (membership := _shared(obj.get("membership"), det, ind))
+                is not None):
+            path = f"$.vertices[{i}]"
+            if type(obj) is not dict:
+                raise SchemaError(path, "object expected")
+            ext_id = _field(obj, "id", path, int)
+            if ext_id in id_map:
+                raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
+            label = _field(obj, "label", path, str)
+            flag = _field(obj, "indeterminate", path, bool, False)
+            membership = _triple(obj, "membership", path, det, ind)
         try:
-            id_map[ext_id] = net.add_vertex(label, membership, indeterminate)
+            id_map[ext_id] = net.add_vertex(label, membership, flag)
         except NetError as exc:
-            raise _located(exc, path, "membership") from exc
+            raise _located(exc, f"$.vertices[{i}]", "membership") from exc
 
     for i, obj in enumerate(_field(doc, "edges", "$", list)):
-        path = f"$.edges[{i}]"
-        if type(obj) is not dict:
-            raise SchemaError(path, "object expected")
-        src = _field(obj, "src", path, int)
-        if src not in id_map:
-            raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
-        dst = _field(obj, "dst", path, int)
-        if dst not in id_map:
-            raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        label = _text(obj, "label", path, "")
-        indeterminate = _field(obj, "indeterminate", path, bool, False)
-        weight = _triple(obj, "weight", path, values)
+        # an ASCII label needs no surrogate check
+        if not (type(obj) is dict and type(src := obj.get("src")) is int
+                and src in id_map and type(dst := obj.get("dst")) is int
+                and dst in id_map
+                and type(label := obj.get("label", "")) is str and label.isascii()
+                and type(flag := obj.get("indeterminate", False)) is bool
+                and (weight := _shared(obj.get("weight"), det, ind)) is not None):
+            path = f"$.edges[{i}]"
+            if type(obj) is not dict:
+                raise SchemaError(path, "object expected")
+            src = _field(obj, "src", path, int)
+            if src not in id_map:
+                raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
+            dst = _field(obj, "dst", path, int)
+            if dst not in id_map:
+                raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
+            label = _text(obj, "label", path, "")
+            flag = _field(obj, "indeterminate", path, bool, False)
+            weight = _triple(obj, "weight", path, det, ind)
         try:
-            net.add_edge(id_map[src], id_map[dst], weight, label, indeterminate)
+            net.add_edge(id_map[src], id_map[dst], weight, label, flag)
         except NetError as exc:
-            raise _located(exc, path, "weight") from exc
+            raise _located(exc, f"$.edges[{i}]", "weight") from exc
     return net
 
 
@@ -236,25 +289,33 @@ def to_dot(net: SemanticNet) -> str:
     Vertices show their label and normalized triple (two decimals);
     indeterminate vertices are dotted and prefixed N_1, N_2, ...  Edges show
     the relation word and raw degree triple; indeterminate edges are dotted.
-    Vertex labels go unescaped: they are identifiers, with nothing to escape.
+    Vertex labels go unescaped: they are identifiers, with nothing to escape,
+    and so does a triple's text.
+
+    A membership is normalized as ``analysis.normalize`` does it, inline:
+    ``magnitude / s_k``, or 0.0 for an indeterminacy.  Construction keeps
+    each degree within its scale.
     """
-    from .analysis import normalize  # here, so that loading JSON skips analysis
+    weight_text = triple_formatter()
+    s1, s2, s3 = net.scale
     out = ["digraph {"] if not net.name else [
         f'digraph "{_dot_escape(net.name)}" {{']
     indeterminate_count = 0
-    vertices, scale = net.vertices, net.scale
+    vertices = net._vertices
     for v in vertices:
-        norm = normalize(v.membership, scale)
+        a, b, c = v.membership.c1, v.membership.c2, v.membership.c3
+        p = 0.0 if a.indeterminate else a.magnitude / s1
+        u = 0.0 if b.indeterminate else b.magnitude / s2
+        n = 0.0 if c.indeterminate else c.magnitude / s3
         text, style = v.label, ""
         if v.indeterminate:
             indeterminate_count += 1
             text, style = f"N_{indeterminate_count} {text}", ", style=dotted"
-        out.append(f'  "{v.label}" [label="{text}\\n({norm.p:.2f}, {norm.u:.2f}, '
-                   f'{norm.n:.2f})"{style}];')
-    for e in net.edges:
-        text = _dot_escape(f"{e.label} {e.weight}" if e.label else str(e.weight))
-        style = ", style=dotted" if e.indeterminate else ""
-        out.append(f'  "{vertices[e.src].label}" -> "{vertices[e.dst].label}" '
-                   f'[label="{text}"{style}];')
+        out.append(f'  "{v.label}" [label="{text}\\n({p:.2f}, {u:.2f}, {n:.2f})"'
+                   f'{style}];')
+    out += [f'  "{vertices[e.src].label}" -> "{vertices[e.dst].label}" [label="'
+            f'{f"{_dot_escape(e.label)} " if e.label else ""}{weight_text(e.weight)}"'
+            f'{", style=dotted" if e.indeterminate else ""}];'
+            for e in net._edges]
     out.append("}")
     return "\n".join(out) + "\n"

@@ -113,9 +113,8 @@ def test_pnet_classify_child_skips_analysis_matrix_io_and_json(fixtures_dir,
 
 def test_pnet_render_child_skips_json_and_matrix(fixtures_dir, preloaded):
     loaded = _modules(_RUN_CLI, "render", str(fixtures_dir / "s1.pnet"))
-    assert {"polarnet.cli", "polarnet.dsl", "polarnet.io",
-            "polarnet.analysis"} <= loaded
-    skipped = {"polarnet.matrix"}
+    assert {"polarnet.cli", "polarnet.dsl", "polarnet.io"} <= loaded
+    skipped = {"polarnet.analysis", "polarnet.matrix"}
     if "json" not in preloaded:
         skipped.add("json")
     assert skipped & loaded == set()

@@ -12,12 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BOM = b"\xef\xbb\xbf"
 
 
-def _script(name, *args):
+def _script(name, *args, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120)
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def _report(path):
@@ -96,3 +96,31 @@ def test_render_fixtures_fails_as_the_cli_does(capsys, tmp_path, case):
     assert expected[0] in (1, 2)
     _assert_fails_as(_script("render_fixtures.py", "--fixtures", fixtures,
                              "-o", tmp_path / "dot"), expected)
+
+
+# -- output that cannot be written, as `polarnet` handles it -----------------
+
+@pytest.mark.parametrize("name", ["polarity_report.py", "render_fixtures.py"])
+def test_a_closed_stdout_ends_quietly(tmp_path, fixtures_dir, name):
+    args = ([fixtures_dir / "s3.pnet"] if name == "polarity_report.py"
+            else ["--fixtures", fixtures_dir, "-o", tmp_path / "dot"])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the script writes
+    try:
+        child = _script(name, *args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (0, "")
+
+
+def test_render_fixtures_exits_two_when_it_cannot_make_its_directory(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    child = _script("render_fixtures.py", "-o", out)
+    assert "Traceback" not in child.stderr
+    assert child.returncode == 2
+    assert child.stderr.startswith(f"cannot write {out}: ")
+    assert "Not a directory" in child.stderr
+    assert child.stdout == ""
