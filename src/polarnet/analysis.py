@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .core import ChannelTriple, NetError, SemanticNet, fmt_number, scale_problem
 
@@ -144,6 +145,34 @@ def polar_select(net: SemanticNet, vertex_id: int,
     return SelectionResult(ranked=tuple(item[1] for item in entries))
 
 
+# The normalized terms of a run of triples: one list of quotients per channel
+# and whether any entry is an indeterminacy.
+_Terms = tuple[list[float], list[float], list[float], bool]
+
+
+def _extended(terms: _Terms, triples: list[ChannelTriple],
+              scale: tuple[float, float, float]) -> _Terms:
+    """New terms: ``terms`` followed by those of ``triples``.
+
+    Each channel list holds the ``normalize`` quotients of the determinate,
+    nonzero degrees only.  The terms left out are +0.0, and adding +0.0 to a
+    nonnegative running sum changes neither the plain nor the compensated
+    ``sum``.
+    """
+    s1, s2, s3 = scale
+    t1, t2, t3, indeterminate = terms
+    return (t1 + [t.c1.magnitude / s1 for t in triples
+                  if t.c1.magnitude and not t.c1.indeterminate],
+            t2 + [t.c2.magnitude / s2 for t in triples
+                  if t.c2.magnitude and not t.c2.indeterminate],
+            t3 + [t.c3.magnitude / s3 for t in triples
+                  if t.c3.magnitude and not t.c3.indeterminate],
+            indeterminate or any(t.has_indeterminate for t in triples))
+
+
+_NO_TERMS: _Terms = ([], [], [], False)
+
+
 def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     """Summarize a whole net as one normalized triple and a polarity label.
 
@@ -156,20 +185,35 @@ def net_polarity(net: SemanticNet) -> tuple[NormalizedTriple, Polarity]:
     terms, memberships then weights, so the summary is bit-identical to
     summing normalized triples (Python 3.12+ compensates that sum).
     Construction already put every entry within ``net.scale``.
+
+    Nets only grow, so the terms are kept in the net as a snapshot
+    ``(nv, ne, vertex terms, edge terms)`` of its first ``nv`` vertices and
+    ``ne`` edges, and a call computes terms only for the elements appended
+    since.  The snapshot's lists are never changed: a call that sees new
+    elements builds new lists and replaces the snapshot in one assignment,
+    so concurrent readers of a finished net never see a partial one.
     """
-    if not net._vertices:
+    vertices, edges = net._vertices, net._edges
+    if not vertices:
         raise NetError("empty net has no polarity")
-    triples = [v.membership for v in net._vertices] + [e.weight for e in net._edges]
-    s1, s2, s3 = net.scale
-    count = len(triples)
+    nv, ne, vertex_terms, edge_terms = net._terms or (0, 0, _NO_TERMS, _NO_TERMS)
+    if nv != len(vertices) or ne != len(edges):
+        new_vertices, new_edges = vertices[nv:], edges[ne:]
+        if new_vertices:
+            vertex_terms = _extended(
+                vertex_terms, [v.membership for v in new_vertices], net._scale)
+        if new_edges:
+            edge_terms = _extended(
+                edge_terms, [e.weight for e in new_edges], net._scale)
+        nv += len(new_vertices)
+        ne += len(new_edges)
+        net._terms = (nv, ne, vertex_terms, edge_terms)
+    count = nv + ne
     summary = NormalizedTriple(
-        sum([0.0 if t.c1.indeterminate else t.c1.magnitude / s1
-             for t in triples]) / count,
-        sum([0.0 if t.c2.indeterminate else t.c2.magnitude / s2
-             for t in triples]) / count,
-        sum([0.0 if t.c3.indeterminate else t.c3.magnitude / s3
-             for t in triples]) / count,
-        has_indeterminacy=any(t.has_indeterminate for t in triples),
+        sum(chain(vertex_terms[0], edge_terms[0])) / count,
+        sum(chain(vertex_terms[1], edge_terms[1])) / count,
+        sum(chain(vertex_terms[2], edge_terms[2])) / count,
+        has_indeterminacy=vertex_terms[3] or edge_terms[3],
     )
     score = polarity_score(summary)
     if score > DEFAULT_LABEL_THRESHOLD:

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on domain errors (parse or validation failures),
-2 on usage errors (bad flags, missing or unrecognized files) and on output
-that cannot be written.  Diagnostics go to stderr, data to stdout as UTF-8
-whatever the locale.  A reader that closes stdout early ends the output
-quietly, with the command's own exit code.
+Exit codes: 0 on success, 1 on domain errors (parse errors, or ``validate``
+findings of which at least one is an error), 2 on usage errors (bad flags,
+missing or unrecognized files) and on output that cannot be written.
+``validate`` prints every finding, and exits 0 when all of them are
+warnings.  Diagnostics go to stderr, data to stdout as UTF-8 whatever the
+locale.  A reader that closes stdout early ends the output quietly, with the
+command's own exit code.
 
 ``read_net`` is the one way a net file is read, and ``write_output`` the one
 way output is written, here and in ``scripts/``.
@@ -140,7 +142,8 @@ def _cmd_validate(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
     violations = net.validate()
     if not violations:
         return 0, "OK\n"
-    return 1, "".join(f"{violation}\n" for violation in violations)
+    code = 1 if any(v.severity == "error" for v in violations) else 0
+    return code, "".join(f"{violation}\n" for violation in violations)
 
 
 def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:

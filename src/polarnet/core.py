@@ -9,7 +9,9 @@ coefficient n in (0, 1].
 
 Nets are built single-writer through ``add_vertex``/``add_edge``, the only
 way to add elements, so every net is valid by construction; a finished net
-is safe to share across threads for reads.
+is safe to share across threads for reads.  The one thing a read stores in a
+net, ``analysis.net_polarity``'s snapshot of its terms, is replaced whole by
+one assignment and never changed in place, so reads stay thread-safe.
 
 This module is the one place that checks the invariants.  Construction
 enforces entry domain and range, label syntax, unique labels, no loops and
@@ -371,7 +373,8 @@ def scale_problem(triple: ChannelTriple,
 
     Values check their own type, coefficient and finiteness when built, so
     one compare per channel is the whole check; ``entry_problem`` words a
-    failure.  Construction and ``analysis.normalize`` check the range here.
+    failure.  ``analysis.normalize`` checks the range here; construction
+    makes the same compares inline and calls this only to word a failure.
     """
     s1, s2, s3 = scale
     a, b, c = triple.c1, triple.c2, triple.c3
@@ -417,9 +420,10 @@ class SemanticNet:
     and scale, and ``add_vertex``/``add_edge`` either add one element or raise
     a :class:`NetError` and leave the net unchanged.  ``vertices`` and
     ``edges`` are read-only tuples, copied on each read, and ``mode``,
-    ``name`` and ``scale`` cannot be reassigned.  Private lookup indexes stay
-    out of ``==`` and ``repr``; nets compare by value and are unhashable, and
-    ``copy.copy`` gives an independent net.
+    ``name`` and ``scale`` cannot be reassigned.  Private lookup indexes and
+    ``net_polarity``'s snapshot stay out of ``==`` and ``repr``; nets compare
+    by value and are unhashable, and ``copy.copy`` gives an independent net
+    without a snapshot.
     """
 
     def __init__(self, mode: NetMode, name: str = "",
@@ -445,6 +449,7 @@ class SemanticNet:
         self._edges: list[Edge] = []
         self._by_label: dict[str, Vertex] = {}
         self._out: dict[int, dict[int, Edge]] = {}
+        self._terms = None  # net_polarity's snapshot; see analysis
 
     @property
     def mode(self) -> NetMode:
@@ -563,24 +568,36 @@ class SemanticNet:
         adjacency tensor cannot carry, draws a warning after its errors.
         """
         scale = self._scale
-        crisp = self._mode is NetMode.PNSN
+        s1, s2, s3 = scale
 
-        def non_crisp(triple: ChannelTriple) -> list[str]:
-            return [f"channel {k} non-crisp degree {fmt_number(val.magnitude)} "
-                    f"(PNSN requires 0 or {fmt_number(mx)})"
+        def non_crisp(where: str, triple: ChannelTriple) -> list[Violation]:
+            return [Violation(f"{where}: channel {k} non-crisp degree "
+                              f"{fmt_number(val.magnitude)} "
+                              f"(PNSN requires 0 or {fmt_number(mx)})")
                     for k, (val, mx) in enumerate(zip(triple, scale), start=1)
                     if val.magnitude not in (0.0, mx) and not val.indeterminate]
 
+        # Each triple is tested on its entries directly; the findings are
+        # worded only for a triple that has one.
         out: list[Violation] = []
+        crisp = self._mode is NetMode.PNSN
         if crisp:
             for v in self._vertices:
-                out += [Violation(f"vertex {v.label!r}: {problem}")
-                        for problem in non_crisp(v.membership)]
+                m = v.membership
+                a, b, c = m.c1, m.c2, m.c3
+                if ((a.magnitude and a.magnitude != s1 and not a.indeterminate)
+                        or (b.magnitude and b.magnitude != s2 and not b.indeterminate)
+                        or (c.magnitude and c.magnitude != s3 and not c.indeterminate)):
+                    out += non_crisp(f"vertex {v.label!r}", m)
         for e in self._edges:
-            if crisp:
-                out += [Violation(f"edge {e.src} -> {e.dst}: {problem}")
-                        for problem in non_crisp(e.weight)]
-            if e.weight.is_zero:
+            w = e.weight
+            a, b, c = w.c1, w.c2, w.c3
+            if crisp and (
+                    (a.magnitude and a.magnitude != s1 and not a.indeterminate)
+                    or (b.magnitude and b.magnitude != s2 and not b.indeterminate)
+                    or (c.magnitude and c.magnitude != s3 and not c.indeterminate)):
+                out += non_crisp(f"edge {e.src} -> {e.dst}", w)
+            if not (a.magnitude or b.magnitude or c.magnitude):
                 out.append(Violation(
                     f"edge {e.src} -> {e.dst} has an all-zero weight and "
                     "cannot be reconstructed from the adjacency tensor",
@@ -616,7 +633,12 @@ class SemanticNet:
     def _in_scale(self, triple: TripleLike) -> ChannelTriple:
         """``triple`` as a ChannelTriple; raises its first degree above scale.
         Crispness is left to ``validate``."""
-        triple = _coerce_triple(triple)
-        if problem := scale_problem(triple, self._scale):
-            raise problem
+        if type(triple) is not ChannelTriple:
+            triple = _coerce_triple(triple)
+        s1, s2, s3 = self._scale
+        a, b, c = triple.c1, triple.c2, triple.c3
+        if ((a.magnitude > s1 and not a.indeterminate)
+                or (b.magnitude > s2 and not b.indeterminate)
+                or (c.magnitude > s3 and not c.indeterminate)):
+            raise scale_problem(triple, self._scale)
         return triple

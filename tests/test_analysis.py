@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import pickle
+import sys
+import threading
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polarnet.core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
+from polarnet.core import (
+    ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet, Vertex)
 from polarnet.analysis import (
     DEFAULT_LABEL_THRESHOLD,
     NormalizedTriple,
@@ -19,7 +23,8 @@ from polarnet.analysis import (
     polarity_score,
 )
 
-from strategies import nets, scaled_copy, triples
+import strategies as fixtures
+from strategies import nets, scaled_copy, scales, triples
 from test_scale import large_net
 
 SCALE = (3.0, 2.0, 1.0)
@@ -315,3 +320,131 @@ def test_kernels_match_the_normalize_reference(net, exponent):
 
 def test_kernels_match_the_normalize_reference_on_a_large_net():
     assert_kernels_match_reference(large_net(1))
+
+
+# ``net_polarity`` keeps each net's terms and extends them with what was
+# appended since its last call; every result must still be the fresh sum.
+def assert_polarity_is_fresh(net):
+    outcome = _outcome(net_polarity, net)
+    assert outcome == _outcome(ref_net_polarity, net)
+    assert outcome == _outcome(net_polarity, copy.copy(net))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(NetMode)), scales, st.data())
+def test_polarity_between_writes_is_the_fresh_sum(mode, scale, data):
+    crisp = mode is NetMode.PNSN
+    net = SemanticNet(mode, "grown", scale)
+    steps = data.draw(st.lists(st.sampled_from(["vertex", "edge", "polarity"]),
+                               max_size=40))
+    for step in steps:
+        n = len(net.vertices)
+        if step == "vertex":
+            net.add_vertex(f"v{n}", data.draw(triples(scale, crisp)),
+                           indeterminate=data.draw(st.booleans()))
+        elif step == "edge":
+            free = [(i, j) for i in range(n) for j in range(n)
+                    if i != j and not net.has_edge(i, j)]
+            if free:
+                src, dst = data.draw(st.sampled_from(free))
+                net.add_edge(src, dst, data.draw(triples(scale, crisp)))
+        else:
+            assert_polarity_is_fresh(net)
+    assert_polarity_is_fresh(net)
+
+
+def test_polarity_of_a_large_net_grown_between_calls():
+    source = large_net(2)
+    net = SemanticNet(source.mode, source.name, source.scale)
+    vertices, edges = source.vertices, source.edges
+    for k, v in enumerate(vertices, start=1):
+        net.add_vertex(v.label, v.membership, v.indeterminate)
+        if k % 397 == 0:
+            net_polarity(net)
+    assert_polarity_is_fresh(net)
+    for k, e in enumerate(edges, start=1):
+        net.add_edge(e.src, e.dst, e.weight, e.label, e.indeterminate)
+        if k % 1999 == 0:
+            assert_polarity_is_fresh(net)
+    assert net == source
+    assert_polarity_is_fresh(net)
+
+
+def test_a_net_with_kept_terms_survives_copy_deepcopy_and_pickle(s3_net):
+    expected = net_polarity(s3_net)
+    for twin in (copy.copy(s3_net), copy.deepcopy(s3_net),
+                 pickle.loads(pickle.dumps(s3_net))):
+        assert twin == s3_net
+        assert net_polarity(twin) == expected
+        assert repr(net_polarity(twin)) == repr(expected)
+        x = twin.add_vertex("x", (0, 2.0, 0.5))
+        twin.add_edge(x, 0, (0, 0, 1.0))
+        assert_polarity_is_fresh(twin)
+
+
+def test_writes_to_a_copy_leave_the_original_result(s3_net):
+    expected = _outcome(net_polarity, s3_net)
+    for make_twin in (copy.copy, copy.deepcopy):
+        twin = make_twin(s3_net)
+        net_polarity(twin)
+        x = twin.add_vertex("x", (0, 0, 1.0))
+        twin.add_edge(0, x, (0, 0, 1.0))
+        assert net_polarity(twin) != expected[0]
+        assert _outcome(net_polarity, s3_net) == expected
+        assert_polarity_is_fresh(s3_net)
+
+
+def test_an_empty_net_has_no_polarity_on_every_call():
+    net = SemanticNet(NetMode.PFNSN, "x")
+    for _ in range(2):
+        with pytest.raises(NetError, match="^empty net has no polarity$"):
+            net_polarity(net)
+    net.add_vertex("a", (3.0, 0, 0))
+    assert_polarity_is_fresh(net)
+
+
+def test_a_published_snapshot_is_never_changed(s3_net):
+    net_polarity(s3_net)
+    published = s3_net._terms
+    frozen = copy.deepcopy(published)
+    x = s3_net.add_vertex("x", (1.5, 0, 0))
+    s3_net.add_edge(x, 0, (0, 1.0, 0))
+    assert_polarity_is_fresh(s3_net)
+    assert s3_net._terms is not published and published == frozen
+    assert_polarity_is_fresh(fixtures.s1())
+
+
+def test_concurrent_readers_after_writes_agree_with_the_fresh_sum():
+    source = large_net(1)
+    net = SemanticNet(source.mode, source.name, source.scale)
+    vertices, edges = list(source.vertices), list(source.edges)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # Readers race to extend the kept terms by each batch of writes.
+        batches = [vertices[k:k + 500] for k in range(0, len(vertices), 500)]
+        batches += [edges[k:k + 1000] for k in range(0, len(edges), 1000)]
+        for batch in batches:
+            for element in batch:
+                if isinstance(element, Vertex):
+                    net.add_vertex(element.label, element.membership,
+                                   element.indeterminate)
+                else:
+                    net.add_edge(element.src, element.dst, element.weight,
+                                 element.label, element.indeterminate)
+            barrier = threading.Barrier(6)
+            results = []
+
+            def read():
+                barrier.wait(timeout=30)
+                results.append(_outcome(net_polarity, net))
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [_outcome(ref_net_polarity, net)] * 6
+    finally:
+        sys.setswitchinterval(interval)

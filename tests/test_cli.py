@@ -428,3 +428,24 @@ def test_closed_stdout_descriptor_exits_two(fixtures_dir):
                       preexec_fn=lambda: os.close(1))
     assert child.returncode == 2
     assert child.stderr == b"cannot write <stdout>: it is closed\n"
+
+
+def test_validate_exits_zero_on_warnings_alone_and_one_on_an_error(
+        capsys, tmp_path, fixtures_dir):
+    warned = tmp_path / "zero_weight.pnet"
+    warned.write_text('net pfnsn "z"\nvertex a (3, 0, 0)\nvertex b (0, 0, 1)\n'
+                      "edge a -> b (0, 0, 0)\nedge b -> a (0, 0, 1)\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(warned))
+    assert (code, out, err) == (
+        0, "warning: edge 0 -> 1 has an all-zero weight and cannot be "
+           "reconstructed from the adjacency tensor\n", "")
+    s3 = Path(fixture(fixtures_dir, "s3.pnet")).read_text(encoding="utf-8")
+    relabelled = tmp_path / "s3_pnsn.pnet"
+    relabelled.write_text(s3.replace("net pfnsn", "net pnsn", 1), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(relabelled))
+    assert (code, err) == (1, "")
+    assert out == (
+        "error: edge 0 -> 1: channel 1 non-crisp degree 2.7 (PNSN requires 0 or 3)\n"
+        "error: edge 0 -> 2: channel 2 non-crisp degree 1.4 (PNSN requires 0 or 2)\n"
+        "error: edge 0 -> 3: channel 3 non-crisp degree 0.3 (PNSN requires 0 or 1)\n")
