@@ -22,11 +22,15 @@ Optional: ``indeterminate`` (default false), an edge's ``label`` (default
 renumbers them by insertion position.  Documents are untrusted on input.
 The loader checks the schema and resolves vertex ids; core checks every net
 invariant, and its error is reported at the JSON path it concerns, like
-``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.  A
-well-formed vertex or edge passes a few inline type tests and is added at
-once; any other is checked field by field, so the first problem is found
-and worded the same either way.  Equal numbers under one flag share one
-value within a load.
+``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.
+
+A load decodes each well-formed channel entry straight into its value, so
+the entry objects are freed as the decoder makes them, and equal numbers
+under one flag share one value.  Each vertex and edge is added from a few
+inline type tests and then released from the document, so the net grows
+into the memory the document gives back.  A document that this path does
+not accept in full, for a failed test or a core error, is decoded again and
+read field by field, so its first problem is found and worded in order.
 
 ``to_dot`` writes each line from one f-string, formats each distinct
 channel entry once per call and normalizes a membership inline, so it
@@ -112,56 +116,63 @@ def _text(obj: dict, key: str, path: str, default: Any = _MISSING) -> str:
     """``_field`` for a name or edge label, which output encodes as UTF-8, so
     it cannot hold the lone surrogate that a JSON escape can spell."""
     text = _field(obj, key, path, str, default)
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        raise SchemaError(f"{path}.{key}", "lone surrogate in string") from None
+    if not _encodes(text):
+        raise SchemaError(f"{path}.{key}", "lone surrogate in string")
     return text
 
 
-def _shared(entries: Any, det: dict[float, NeutroValue],
-            ind: dict[float, NeutroValue]) -> ChannelTriple | None:
-    """The triple of a well-formed ``membership`` or ``weight`` array whose
-    entries all build, else None; ``_triple`` then words the problem.
+def _encodes(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
-    Numbers go to core as ``json.loads`` built them.  Values are immutable,
-    so one load shares a value among equal entries through ``det`` and
-    ``ind``, keyed by number, one dict per flag.  Only a value that was built
-    is stored: a NaN never hits, and each bad entry fails at its path.
+
+def _entry_hook():
+    """A ``json.loads`` object hook that turns each well-formed channel entry
+    into its value and returns any other object unchanged.
+
+    A well-formed entry has exactly one key, ``"d"`` or ``"i"``, whose number
+    builds a value.  Values are immutable, so one load shares a value among
+    equal entries through ``det`` and ``ind``, keyed by number, one dict per
+    flag.  Only a value that was built is stored: a NaN never hits, and a bad
+    entry stays an object for the checked path to word.
     """
-    if type(entries) is not list or len(entries) != 3:
-        return None
-    triple = []
-    for entry in entries:
-        if type(entry) is not dict or len(entry) != 1:
-            return None
-        if "d" in entry:
-            x, values, flag = entry["d"], det, False
-        elif "i" in entry:
-            x, values, flag = entry["i"], ind, True
+    det: dict[float, NeutroValue] = {}
+    ind: dict[float, NeutroValue] = {}
+
+    def hook(obj: dict) -> Any:
+        if len(obj) != 1:
+            return obj
+        if "d" in obj:
+            x, values, flag = obj["d"], det, False
+        elif "i" in obj:
+            x, values, flag = obj["i"], ind, True
         else:
-            return None
+            return obj
         # the type test comes first: ``true`` would hit the value of 1
         if type(x) is not float and type(x) is not int:
-            return None
+            return obj
         value = values.get(x)
         if value is None:
             try:
                 value = values[x] = NeutroValue(x, flag)
             except NetError:
-                return None
-        triple.append(value)
-    return ChannelTriple(*triple)
+                return obj
+        return value
+
+    return hook
 
 
-def _triple(obj: dict, key: str, path: str, det: dict[float, NeutroValue],
-            ind: dict[float, NeutroValue]) -> ChannelTriple:
-    """The channel entries ``obj[key]`` of the element at ``path``, through
-    ``_shared``; raises the first problem at its path."""
+def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
+    """The channel entries ``obj[key]`` of the element at ``path``; raises
+    the first problem at its path."""
     entries = _field(obj, key, path, list)
     if len(entries) != 3:
         raise SchemaError(f"{path}.{key}",
                           f"3 channel entries expected, got {len(entries)}")
+    values = []
     for k, entry in enumerate(entries):
         if type(entry) is not dict:
             problem = "object expected"
@@ -171,27 +182,22 @@ def _triple(obj: dict, key: str, path: str, det: dict[float, NeutroValue],
             problem = "number expected"
         else:
             try:
-                NeutroValue(x, flag)
+                values.append(NeutroValue(x, flag))
                 continue
             except NetError as exc:
                 problem = str(exc)
         raise SchemaError(f"{path}.{key}[{k}]", problem)
-    return _shared(entries, det, ind)
+    return ChannelTriple(*values)
 
 
 def from_json(text: str) -> SemanticNet:
     """Load a net; a :class:`SchemaError` locates the first problem in ``text``."""
-    import json
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"malformed JSON: {exc.msg} "
-                          f"(line {exc.lineno} column {exc.colno})") from exc
-    except RecursionError:
-        raise SchemaError("$", "malformed JSON: arrays or objects nested "
-                          "too deeply") from None
-    except ValueError as exc:  # an integer literal over the digit limit
-        raise SchemaError("$", f"malformed JSON: {exc}") from exc
+    net = _decoded(text)
+    return net if net is not None else _checked(text)
+
+
+def _header(doc: Any) -> SemanticNet:
+    """The empty net that the document's mode, name and scale describe."""
     if type(doc) is not dict:
         raise SchemaError("$", "object expected")
     mode_name = _field(doc, "mode", "$", str)
@@ -212,58 +218,119 @@ def from_json(text: str) -> SemanticNet:
         raise _located(exc, "$", "scale") from exc
     if doc.get("directed", True) is not True:
         raise SchemaError("$.directed", "only directed nets are supported")
+    return net
 
-    # An element that passes the inline type tests is added at once; any
-    # other is checked field by field, and its first problem raised at its
-    # path, in the order the fields are read.
+
+def _decoded(text: str) -> SemanticNet | None:
+    """The net of a document that is accepted in full, else None.
+
+    The document is decoded with its channel entries as shared values, so
+    their objects are freed as the decoder makes them.  Each vertex and edge
+    is added from inline type tests, and its slot in the document is then
+    set to None, so the net grows into the memory the document gives back.
+    Any problem, whether a failed test or core's ``NetError``, rejects the
+    document; ``_checked`` reads it again to find and word the first one.
+    """
+    import json
+    try:
+        doc = json.loads(text, object_hook=_entry_hook())
+    except (ValueError, RecursionError):
+        return None
+    try:
+        net = _header(doc)
+    except SchemaError:
+        return None
+    vertices, edges = doc.get("vertices"), doc.get("edges")
+    if type(vertices) is not list or type(edges) is not list:
+        return None
     id_map: dict[int, int] = {}
-    det: dict[float, NeutroValue] = {}
-    ind: dict[float, NeutroValue] = {}
+    try:
+        for i, obj in enumerate(vertices):
+            if not (type(obj) is dict and type(ext_id := obj.get("id")) is int
+                    and ext_id not in id_map
+                    and type(label := obj.get("label")) is str
+                    and type(flag := obj.get("indeterminate", False)) is bool
+                    and (membership := _decoded_triple(obj.get("membership")))
+                    is not None):
+                return None
+            id_map[ext_id] = net.add_vertex(label, membership, flag)
+            vertices[i] = None
+        for i, obj in enumerate(edges):
+            # an ASCII label needs no surrogate check
+            if not (type(obj) is dict and type(src := obj.get("src")) is int
+                    and src in id_map and type(dst := obj.get("dst")) is int
+                    and dst in id_map
+                    and type(label := obj.get("label", "")) is str
+                    and (label.isascii() or _encodes(label))
+                    and type(flag := obj.get("indeterminate", False)) is bool
+                    and (weight := _decoded_triple(obj.get("weight"))) is not None):
+                return None
+            net.add_edge(id_map[src], id_map[dst], weight, label, flag)
+            edges[i] = None
+    except NetError:
+        return None
+    return net
+
+
+def _decoded_triple(entries: Any) -> ChannelTriple | None:
+    """The triple of a decoded ``membership`` or ``weight`` array that holds
+    three values, else None."""
+    if (type(entries) is list and len(entries) == 3
+            and type(entries[0]) is NeutroValue
+            and type(entries[1]) is NeutroValue
+            and type(entries[2]) is NeutroValue):
+        return ChannelTriple(*entries)
+    return None
+
+
+def _checked(text: str) -> SemanticNet:
+    """Load a document field by field; raises its first problem at its
+    path, in the order the fields are read."""
+    import json
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"malformed JSON: {exc.msg} "
+                          f"(line {exc.lineno} column {exc.colno})") from exc
+    except RecursionError:
+        raise SchemaError("$", "malformed JSON: arrays or objects nested "
+                          "too deeply") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise SchemaError("$", f"malformed JSON: {exc}") from exc
+    net = _header(doc)
+    id_map: dict[int, int] = {}
     for i, obj in enumerate(_field(doc, "vertices", "$", list)):
-        if not (type(obj) is dict and type(ext_id := obj.get("id")) is int
-                and ext_id not in id_map
-                and type(label := obj.get("label")) is str
-                and type(flag := obj.get("indeterminate", False)) is bool
-                and (membership := _shared(obj.get("membership"), det, ind))
-                is not None):
-            path = f"$.vertices[{i}]"
-            if type(obj) is not dict:
-                raise SchemaError(path, "object expected")
-            ext_id = _field(obj, "id", path, int)
-            if ext_id in id_map:
-                raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
-            label = _field(obj, "label", path, str)
-            flag = _field(obj, "indeterminate", path, bool, False)
-            membership = _triple(obj, "membership", path, det, ind)
+        path = f"$.vertices[{i}]"
+        if type(obj) is not dict:
+            raise SchemaError(path, "object expected")
+        ext_id = _field(obj, "id", path, int)
+        if ext_id in id_map:
+            raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
+        label = _field(obj, "label", path, str)
+        flag = _field(obj, "indeterminate", path, bool, False)
+        membership = _triple(obj, "membership", path)
         try:
             id_map[ext_id] = net.add_vertex(label, membership, flag)
         except NetError as exc:
-            raise _located(exc, f"$.vertices[{i}]", "membership") from exc
+            raise _located(exc, path, "membership") from exc
 
     for i, obj in enumerate(_field(doc, "edges", "$", list)):
-        # an ASCII label needs no surrogate check
-        if not (type(obj) is dict and type(src := obj.get("src")) is int
-                and src in id_map and type(dst := obj.get("dst")) is int
-                and dst in id_map
-                and type(label := obj.get("label", "")) is str and label.isascii()
-                and type(flag := obj.get("indeterminate", False)) is bool
-                and (weight := _shared(obj.get("weight"), det, ind)) is not None):
-            path = f"$.edges[{i}]"
-            if type(obj) is not dict:
-                raise SchemaError(path, "object expected")
-            src = _field(obj, "src", path, int)
-            if src not in id_map:
-                raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
-            dst = _field(obj, "dst", path, int)
-            if dst not in id_map:
-                raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-            label = _text(obj, "label", path, "")
-            flag = _field(obj, "indeterminate", path, bool, False)
-            weight = _triple(obj, "weight", path, det, ind)
+        path = f"$.edges[{i}]"
+        if type(obj) is not dict:
+            raise SchemaError(path, "object expected")
+        src = _field(obj, "src", path, int)
+        if src not in id_map:
+            raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
+        dst = _field(obj, "dst", path, int)
+        if dst not in id_map:
+            raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
+        label = _text(obj, "label", path, "")
+        flag = _field(obj, "indeterminate", path, bool, False)
+        weight = _triple(obj, "weight", path)
         try:
             net.add_edge(id_map[src], id_map[dst], weight, label, flag)
         except NetError as exc:
-            raise _located(exc, f"$.edges[{i}]", "weight") from exc
+            raise _located(exc, path, "weight") from exc
     return net
 
 

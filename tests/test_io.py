@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from polarnet import io
 from polarnet.core import NetError, NetMode, SemanticNet
 from polarnet.dsl import ParseError, parse_net
 from polarnet.io import SchemaError, from_json, to_dot, to_json
@@ -376,6 +377,55 @@ def _vertices_only():
 def test_to_json_writes_the_stdlib_indent_2_layout(net):
     assert to_json(net) == json.dumps(ref_doc(net), indent=2,
                                       allow_nan=False) + "\n"
+
+
+def _load_counting_checked_path(text):
+    """Load ``text``; also return how often it was read field by field."""
+    texts = []
+    original = io._checked
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_checked", counting)
+        try:
+            return from_json(text), len(texts)
+        except SchemaError as exc:
+            return exc, len(texts)
+
+
+@given(st.one_of(nets(), _nets_with_any_text()))
+@example(SemanticNet(NetMode.FNSN, ""))
+@example(_vertices_only())
+@example(_with_text(fixtures.s1(), _ESCAPED, [_ESCAPED, "", "\U0010FFFF"]))
+def test_a_valid_document_is_never_read_field_by_field(net):
+    loaded, checked = _load_counting_checked_path(to_json(net))
+    assert loaded == net
+    assert checked == 0
+
+
+def test_a_load_releases_each_element_once_it_is_added(monkeypatch, s1_net):
+    docs = []
+    loads = json.loads
+
+    def keeping(*args, **kwargs):
+        docs.append(loads(*args, **kwargs))
+        return docs[-1]
+
+    monkeypatch.setattr(json, "loads", keeping)
+    assert from_json(to_json(s1_net)) == s1_net
+    [doc] = docs
+    assert doc["vertices"] == [None] * 4 and doc["edges"] == [None] * 3
+
+
+def test_an_invalid_document_is_read_field_by_field_once():
+    text = to_json(fixtures.s1()).replace('"d": 2.4', '"d": 3.4')
+    error, checked = _load_counting_checked_path(text)
+    assert str(error) == ("$.edges[0].weight[0]: "
+                          "channel 1 degree 3.4 exceeds scale 3")
+    assert checked == 1
 
 
 @given(nets())

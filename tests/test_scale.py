@@ -28,14 +28,15 @@ def _triple(rng: random.Random) -> ChannelTriple:
     return ChannelTriple(*(_value(rng, mx) for mx in SCALE))
 
 
-def large_net(seed: int) -> SemanticNet:
+def large_net(seed: int, vertices: int = VERTICES,
+              edges: int = EDGES) -> SemanticNet:
     rng = random.Random(seed)
     net = SemanticNet(NetMode.PFNSN, 'big "net"\twith\\escapes', SCALE)
-    for i in range(VERTICES):
+    for i in range(vertices):
         net.add_vertex(f"v{i}_{rng.randrange(10**6)}", _triple(rng),
                        indeterminate=rng.random() < 0.05)
-    while len(net.edges) < EDGES:
-        src, dst = rng.randrange(VERTICES), rng.randrange(VERTICES)
+    while len(net.edges) < edges:
+        src, dst = rng.randrange(vertices), rng.randrange(vertices)
         if src == dst or net.has_edge(src, dst):
             continue
         net.add_edge(src, dst, _triple(rng),
@@ -50,6 +51,22 @@ def test_large_net_round_trips_through_pnet_and_json():
     assert [v for v in net.validate() if v.severity == "error"] == []
     assert parse_net(format_net(net)) == net
     assert from_json(to_json(net)) == net
+
+
+def test_a_json_load_peaks_at_most_twice_the_net_it_returns():
+    net = large_net(seed=800, vertices=800, edges=3200)
+    text = to_json(net)
+    from_json(text)  # imports json outside the trace
+    tracemalloc.start()
+    try:
+        loaded = from_json(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == net
+    # The decoded document, with an object for each of its 12 000 channel
+    # entries, would take about four times the net.
+    assert peak <= 2 * retained
 
 
 def test_large_net_round_trips_through_the_matrices():

@@ -434,6 +434,21 @@ def _s1_with(path, raw: str, flag: str | None = None) -> str:
     return _s1_edited(edit, raw)
 
 
+def _large_edited(edit, *raws: str) -> str:
+    """The document of a 300-vertex, 1200-edge net, edited near its end."""
+    doc = json.loads(to_json(large_net(3, vertices=300, edges=1200)))
+    edit(doc)
+    return _dumps(doc, *raws)
+
+
+def _last_edge_repeated(doc):
+    doc["edges"].append(dict(doc["edges"][-1]))
+
+
+def _last_entry_above_scale(doc):
+    doc["edges"][-1]["weight"][2] = {"d": "@raw0@"}
+
+
 def _one_then_one_point_zero(doc):
     doc["vertices"][0]["membership"][0] = {"d": "@raw0@"}
     doc["vertices"][1]["membership"][0] = {"d": "@raw1@"}
@@ -464,6 +479,19 @@ def _one_then_one_point_zero(doc):
 @example(_s1_edited(lambda doc: doc["edges"][0]["weight"].pop()))
 @example(_s1_edited(_one_then_one_point_zero, "1", "1.0"))
 @example(_s1_edited(_one_then_one_point_zero, "1.0", "1"))
+@example(_large_edited(_last_edge_repeated))
+@example(_large_edited(_last_entry_above_scale, "1.5"))
+@example(_s1_with(("vertices", 3), "1", "d"))
+@example(_s1_with(("edges", 2), "1", "d"))
+@example('{"d": 1}')
+@example(_s1_with(("scale", 0), "1", "d"))
+@example(_s1_with(("name",), "1", "d"))
+@example(_s1_with(("mode",), "1", "d"))
+@example(_s1_with(("directed",), "1", "d"))
+@example(_s1_with(("edges", 2, "weight", 2), '{"d": 1, "i": 1}'))
+@example(_s1_with(("edges", 2, "weight", 2), "NaN", "d"))
+@example(_s1_with(("edges", 2, "weight", 2), "0", "i"))
+@example(_s1_with(("edges", 2, "weight", 2), "true", "d"))
 def test_from_json_matches_the_reference(text):
     assert_loads_alike(from_json, ref_from_json, text)
 
