@@ -567,7 +567,7 @@ class SemanticNet:
         error.  In every mode an edge with an all-zero weight, which the
         adjacency tensor cannot carry, draws a warning after its errors.
         """
-        scale = self._scale
+        scale, vertices = self._scale, self._vertices
         s1, s2, s3 = scale
 
         def non_crisp(where: str, triple: ChannelTriple) -> list[Violation]:
@@ -577,12 +577,15 @@ class SemanticNet:
                     for k, (val, mx) in enumerate(zip(triple, scale), start=1)
                     if val.magnitude not in (0.0, mx) and not val.indeterminate]
 
+        def edge_name(e: Edge) -> str:
+            return f"edge {vertices[e.src].label!r} -> {vertices[e.dst].label!r}"
+
         # Each triple is tested on its entries directly; the findings are
         # worded only for a triple that has one.
         out: list[Violation] = []
         crisp = self._mode is NetMode.PNSN
         if crisp:
-            for v in self._vertices:
+            for v in vertices:
                 m = v.membership
                 a, b, c = m.c1, m.c2, m.c3
                 if ((a.magnitude and a.magnitude != s1 and not a.indeterminate)
@@ -596,10 +599,10 @@ class SemanticNet:
                     (a.magnitude and a.magnitude != s1 and not a.indeterminate)
                     or (b.magnitude and b.magnitude != s2 and not b.indeterminate)
                     or (c.magnitude and c.magnitude != s3 and not c.indeterminate)):
-                out += non_crisp(f"edge {e.src} -> {e.dst}", w)
+                out += non_crisp(edge_name(e), w)
             if not (a.magnitude or b.magnitude or c.magnitude):
                 out.append(Violation(
-                    f"edge {e.src} -> {e.dst} has an all-zero weight and "
+                    f"{edge_name(e)} has an all-zero weight and "
                     "cannot be reconstructed from the adjacency tensor",
                     severity="warning"))
         return out

@@ -24,13 +24,13 @@ The loader checks the schema and resolves vertex ids; core checks every net
 invariant, and its error is reported at the JSON path it concerns, like
 ``$.edges[0].weight[1]``, with the message the ``.pnet`` parser gives.
 
-A load decodes each well-formed channel entry straight into its value, so
-the entry objects are freed as the decoder makes them, and equal numbers
-under one flag share one value.  Each vertex and edge is added from a few
-inline type tests and then released from the document, so the net grows
-into the memory the document gives back.  A document that this path does
-not accept in full, for a failed test or a core error, is decoded again and
-read field by field, so its first problem is found and worded in order.
+A load decodes the document once, each well-formed channel entry straight
+into its value, so the entry objects are freed as the decoder makes them,
+and equal numbers under one flag share one value.  Each vertex and edge is
+added from a few inline type tests and then released from the document, so
+the net grows into the memory the document gives back.  Only an element
+that fails a test is read again, field by field, to word its first problem.
+An object the loader reads may not repeat a key: ``$: duplicate key "mode"``.
 
 ``to_dot`` writes each line from one f-string, formats each distinct
 channel entry once per call and normalizes a membership inline, so it
@@ -129,40 +129,63 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def _entry_hook():
-    """A ``json.loads`` object hook that turns each well-formed channel entry
-    into its value and returns any other object unchanged.
+class _RepeatedKey(str):
+    """The first key that an object repeats, decoded in place of the object."""
+
+
+def _pairs_hook():
+    """A ``json.loads`` object pairs hook that turns each well-formed channel
+    entry into its value, and an object that repeats a key into that key as
+    a :class:`_RepeatedKey`; any other object is built as ``json.loads``
+    builds it.
 
     A well-formed entry has exactly one key, ``"d"`` or ``"i"``, whose number
     builds a value.  Values are immutable, so one load shares a value among
     equal entries through ``det`` and ``ind``, keyed by number, one dict per
     flag.  Only a value that was built is stored: a NaN never hits, and a bad
-    entry stays an object for the checked path to word.
+    entry stays an object for ``_triple`` to word.
     """
     det: dict[float, NeutroValue] = {}
     ind: dict[float, NeutroValue] = {}
 
-    def hook(obj: dict) -> Any:
-        if len(obj) != 1:
+    def hook(pairs: list[tuple[str, Any]]) -> Any:
+        if len(pairs) == 1:
+            key, x = pairs[0]
+            values = det if key == "d" else ind if key == "i" else None
+            # the type test comes first: ``true`` would hit the value of 1
+            if values is None or (type(x) is not float and type(x) is not int):
+                return {key: x}
+            value = values.get(x)
+            if value is None:
+                try:
+                    value = values[x] = NeutroValue(x, values is ind)
+                except NetError:
+                    return {key: x}
+            return value
+        obj = dict(pairs)
+        if len(obj) == len(pairs):
             return obj
-        if "d" in obj:
-            x, values, flag = obj["d"], det, False
-        elif "i" in obj:
-            x, values, flag = obj["i"], ind, True
-        else:
-            return obj
-        # the type test comes first: ``true`` would hit the value of 1
-        if type(x) is not float and type(x) is not int:
-            return obj
-        value = values.get(x)
-        if value is None:
-            try:
-                value = values[x] = NeutroValue(x, flag)
-            except NetError:
-                return obj
-        return value
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                return _RepeatedKey(key)
+            seen.add(key)
 
     return hook
+
+
+def _object(obj: Any, path: str) -> dict:
+    """The object at ``path`` as ``json.loads`` would give it: a value the
+    hook made is turned back into its one-key object.  Raises for an object
+    that repeats a key, and for anything else that is not an object."""
+    if type(obj) is NeutroValue:
+        return {"i" if obj.indeterminate else "d": obj.magnitude}
+    if type(obj) is _RepeatedKey:
+        from json.encoder import encode_basestring_ascii as _quote
+        raise SchemaError(path, f"duplicate key {_quote(obj)}")
+    if type(obj) is not dict:
+        raise SchemaError(path, "object expected")
+    return obj
 
 
 def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
@@ -174,9 +197,11 @@ def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
                           f"3 channel entries expected, got {len(entries)}")
     values = []
     for k, entry in enumerate(entries):
-        if type(entry) is not dict:
-            problem = "object expected"
-        elif len(entry) != 1 or not ((flag := "i" in entry) or "d" in entry):
+        if type(entry) is NeutroValue:
+            values.append(entry)
+            continue
+        entry = _object(entry, f"{path}.{key}[{k}]")
+        if len(entry) != 1 or not ((flag := "i" in entry) or "d" in entry):
             problem = 'exactly one of "d" or "i" expected'
         elif type(x := entry["i" if flag else "d"]) not in (int, float):
             problem = "number expected"
@@ -192,14 +217,66 @@ def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
 
 def from_json(text: str) -> SemanticNet:
     """Load a net; a :class:`SchemaError` locates the first problem in ``text``."""
-    net = _decoded(text)
-    return net if net is not None else _checked(text)
+    import json
+    try:
+        doc = json.loads(text, object_pairs_hook=_pairs_hook())
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"malformed JSON: {exc.msg} "
+                          f"(line {exc.lineno} column {exc.colno})") from exc
+    except RecursionError:
+        raise SchemaError("$", "malformed JSON: arrays or objects nested "
+                          "too deeply") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise SchemaError("$", f"malformed JSON: {exc}") from exc
+    doc = _object(doc, "$")
+    net = _header(doc)
+    # Each element whose inline tests pass is added as it stands; any other
+    # is read field by field, which raises its first schema problem.
+    id_map: dict[int, int] = {}
+    vertices = _field(doc, "vertices", "$", list)
+    for i, obj in enumerate(vertices):
+        if (type(obj) is dict and type(ext_id := obj.get("id")) is int
+                and ext_id not in id_map
+                and type(label := obj.get("label")) is str
+                and type(flag := obj.get("indeterminate", False)) is bool
+                and type(m := obj.get("membership")) is list and len(m) == 3
+                and type(m[0]) is NeutroValue and type(m[1]) is NeutroValue
+                and type(m[2]) is NeutroValue):
+            membership = ChannelTriple(*m)
+        else:
+            ext_id, label, flag, membership = _read_vertex(
+                obj, f"$.vertices[{i}]", id_map)
+        try:
+            id_map[ext_id] = net.add_vertex(label, membership, flag)
+        except NetError as exc:
+            raise _located(exc, f"$.vertices[{i}]", "membership") from exc
+        vertices[i] = None
+    edges = _field(doc, "edges", "$", list)
+    for i, obj in enumerate(edges):
+        # an ASCII label needs no surrogate check
+        if (type(obj) is dict and type(src := obj.get("src")) is int
+                and src in id_map and type(dst := obj.get("dst")) is int
+                and dst in id_map
+                and type(label := obj.get("label", "")) is str
+                and (label.isascii() or _encodes(label))
+                and type(flag := obj.get("indeterminate", False)) is bool
+                and type(w := obj.get("weight")) is list and len(w) == 3
+                and type(w[0]) is NeutroValue and type(w[1]) is NeutroValue
+                and type(w[2]) is NeutroValue):
+            weight = ChannelTriple(*w)
+        else:
+            src, dst, label, flag, weight = _read_edge(
+                obj, f"$.edges[{i}]", id_map)
+        try:
+            net.add_edge(id_map[src], id_map[dst], weight, label, flag)
+        except NetError as exc:
+            raise _located(exc, f"$.edges[{i}]", "weight") from exc
+        edges[i] = None
+    return net
 
 
-def _header(doc: Any) -> SemanticNet:
+def _header(doc: dict) -> SemanticNet:
     """The empty net that the document's mode, name and scale describe."""
-    if type(doc) is not dict:
-        raise SchemaError("$", "object expected")
     mode_name = _field(doc, "mode", "$", str)
     try:
         mode = NetMode(mode_name)
@@ -221,117 +298,33 @@ def _header(doc: Any) -> SemanticNet:
     return net
 
 
-def _decoded(text: str) -> SemanticNet | None:
-    """The net of a document that is accepted in full, else None.
-
-    The document is decoded with its channel entries as shared values, so
-    their objects are freed as the decoder makes them.  Each vertex and edge
-    is added from inline type tests, and its slot in the document is then
-    set to None, so the net grows into the memory the document gives back.
-    Any problem, whether a failed test or core's ``NetError``, rejects the
-    document; ``_checked`` reads it again to find and word the first one.
-    """
-    import json
-    try:
-        doc = json.loads(text, object_hook=_entry_hook())
-    except (ValueError, RecursionError):
-        return None
-    try:
-        net = _header(doc)
-    except SchemaError:
-        return None
-    vertices, edges = doc.get("vertices"), doc.get("edges")
-    if type(vertices) is not list or type(edges) is not list:
-        return None
-    id_map: dict[int, int] = {}
-    try:
-        for i, obj in enumerate(vertices):
-            if not (type(obj) is dict and type(ext_id := obj.get("id")) is int
-                    and ext_id not in id_map
-                    and type(label := obj.get("label")) is str
-                    and type(flag := obj.get("indeterminate", False)) is bool
-                    and (membership := _decoded_triple(obj.get("membership")))
-                    is not None):
-                return None
-            id_map[ext_id] = net.add_vertex(label, membership, flag)
-            vertices[i] = None
-        for i, obj in enumerate(edges):
-            # an ASCII label needs no surrogate check
-            if not (type(obj) is dict and type(src := obj.get("src")) is int
-                    and src in id_map and type(dst := obj.get("dst")) is int
-                    and dst in id_map
-                    and type(label := obj.get("label", "")) is str
-                    and (label.isascii() or _encodes(label))
-                    and type(flag := obj.get("indeterminate", False)) is bool
-                    and (weight := _decoded_triple(obj.get("weight"))) is not None):
-                return None
-            net.add_edge(id_map[src], id_map[dst], weight, label, flag)
-            edges[i] = None
-    except NetError:
-        return None
-    return net
+def _read_vertex(obj: Any, path: str, id_map: dict[int, int]
+                 ) -> tuple[int, str, bool, ChannelTriple]:
+    """The id, label, flag and membership of the vertex at ``path``, read
+    field by field; raises its first problem at its path."""
+    obj = _object(obj, path)
+    ext_id = _field(obj, "id", path, int)
+    if ext_id in id_map:
+        raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
+    return (ext_id, _field(obj, "label", path, str),
+            _field(obj, "indeterminate", path, bool, False),
+            _triple(obj, "membership", path))
 
 
-def _decoded_triple(entries: Any) -> ChannelTriple | None:
-    """The triple of a decoded ``membership`` or ``weight`` array that holds
-    three values, else None."""
-    if (type(entries) is list and len(entries) == 3
-            and type(entries[0]) is NeutroValue
-            and type(entries[1]) is NeutroValue
-            and type(entries[2]) is NeutroValue):
-        return ChannelTriple(*entries)
-    return None
-
-
-def _checked(text: str) -> SemanticNet:
-    """Load a document field by field; raises its first problem at its
-    path, in the order the fields are read."""
-    import json
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"malformed JSON: {exc.msg} "
-                          f"(line {exc.lineno} column {exc.colno})") from exc
-    except RecursionError:
-        raise SchemaError("$", "malformed JSON: arrays or objects nested "
-                          "too deeply") from None
-    except ValueError as exc:  # an integer literal over the digit limit
-        raise SchemaError("$", f"malformed JSON: {exc}") from exc
-    net = _header(doc)
-    id_map: dict[int, int] = {}
-    for i, obj in enumerate(_field(doc, "vertices", "$", list)):
-        path = f"$.vertices[{i}]"
-        if type(obj) is not dict:
-            raise SchemaError(path, "object expected")
-        ext_id = _field(obj, "id", path, int)
-        if ext_id in id_map:
-            raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
-        label = _field(obj, "label", path, str)
-        flag = _field(obj, "indeterminate", path, bool, False)
-        membership = _triple(obj, "membership", path)
-        try:
-            id_map[ext_id] = net.add_vertex(label, membership, flag)
-        except NetError as exc:
-            raise _located(exc, path, "membership") from exc
-
-    for i, obj in enumerate(_field(doc, "edges", "$", list)):
-        path = f"$.edges[{i}]"
-        if type(obj) is not dict:
-            raise SchemaError(path, "object expected")
-        src = _field(obj, "src", path, int)
-        if src not in id_map:
-            raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
-        dst = _field(obj, "dst", path, int)
-        if dst not in id_map:
-            raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        label = _text(obj, "label", path, "")
-        flag = _field(obj, "indeterminate", path, bool, False)
-        weight = _triple(obj, "weight", path)
-        try:
-            net.add_edge(id_map[src], id_map[dst], weight, label, flag)
-        except NetError as exc:
-            raise _located(exc, path, "weight") from exc
-    return net
+def _read_edge(obj: Any, path: str, id_map: dict[int, int]
+               ) -> tuple[int, int, str, bool, ChannelTriple]:
+    """The source and target ids, label, flag and weight of the edge at
+    ``path``, read field by field; raises its first problem at its path."""
+    obj = _object(obj, path)
+    src = _field(obj, "src", path, int)
+    if src not in id_map:
+        raise SchemaError(f"{path}.src", f"unknown vertex id {src}")
+    dst = _field(obj, "dst", path, int)
+    if dst not in id_map:
+        raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
+    return (src, dst, _text(obj, "label", path, ""),
+            _field(obj, "indeterminate", path, bool, False),
+            _triple(obj, "weight", path))
 
 
 def _located(exc: NetError, path: str, triple_key: str) -> SchemaError:

@@ -438,7 +438,7 @@ def test_validate_exits_zero_on_warnings_alone_and_one_on_an_error(
                       encoding="utf-8")
     code, out, err = run(capsys, "validate", str(warned))
     assert (code, out, err) == (
-        0, "warning: edge 0 -> 1 has an all-zero weight and cannot be "
+        0, "warning: edge 'a' -> 'b' has an all-zero weight and cannot be "
            "reconstructed from the adjacency tensor\n", "")
     s3 = Path(fixture(fixtures_dir, "s3.pnet")).read_text(encoding="utf-8")
     relabelled = tmp_path / "s3_pnsn.pnet"
@@ -446,6 +446,6 @@ def test_validate_exits_zero_on_warnings_alone_and_one_on_an_error(
     code, out, err = run(capsys, "validate", str(relabelled))
     assert (code, err) == (1, "")
     assert out == (
-        "error: edge 0 -> 1: channel 1 non-crisp degree 2.7 (PNSN requires 0 or 3)\n"
-        "error: edge 0 -> 2: channel 2 non-crisp degree 1.4 (PNSN requires 0 or 2)\n"
-        "error: edge 0 -> 3: channel 3 non-crisp degree 0.3 (PNSN requires 0 or 1)\n")
+        "error: edge 'Bob' -> 'healthy': channel 1 non-crisp degree 2.7 (PNSN requires 0 or 3)\n"
+        "error: edge 'Bob' -> 'plump': channel 2 non-crisp degree 1.4 (PNSN requires 0 or 2)\n"
+        "error: edge 'Bob' -> 'anaemic': channel 3 non-crisp degree 0.3 (PNSN requires 0 or 1)\n")

@@ -765,8 +765,9 @@ def _reference_validate(net):
 
     for v in net.vertices:
         entry_violations(f"vertex {v.label!r}", v.membership)
+    labels = [v.label for v in net.vertices]
     for e in net.edges:
-        where = f"edge {e.src} -> {e.dst}"
+        where = f"edge {labels[e.src]!r} -> {labels[e.dst]!r}"
         entry_violations(where, e.weight)
         if e.weight.is_zero:
             out.append(Violation(

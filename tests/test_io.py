@@ -379,31 +379,41 @@ def test_to_json_writes_the_stdlib_indent_2_layout(net):
                                       allow_nan=False) + "\n"
 
 
-def _load_counting_checked_path(text):
-    """Load ``text``; also return how often it was read field by field."""
-    texts = []
-    original = io._checked
+def _load_counting(text):
+    """Load ``text``; also return how often it was decoded, and how many
+    elements were read field by field."""
+    counts = {"loads": 0, "read": 0}
+    loads = json.loads
 
-    def counting(text):
-        texts.append(text)
-        return original(text)
+    def counting_loads(*args, **kwargs):
+        counts["loads"] += 1
+        return loads(*args, **kwargs)
+
+    def counting(reader):
+        def read(*args):
+            counts["read"] += 1
+            return reader(*args)
+        return read
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_checked", counting)
+        mp.setattr(json, "loads", counting_loads)
+        mp.setattr(io, "_read_vertex", counting(io._read_vertex))
+        mp.setattr(io, "_read_edge", counting(io._read_edge))
         try:
-            return from_json(text), len(texts)
+            return from_json(text), counts["loads"], counts["read"]
         except SchemaError as exc:
-            return exc, len(texts)
+            return exc, counts["loads"], counts["read"]
 
 
 @given(st.one_of(nets(), _nets_with_any_text()))
 @example(SemanticNet(NetMode.FNSN, ""))
 @example(_vertices_only())
 @example(_with_text(fixtures.s1(), _ESCAPED, [_ESCAPED, "", "\U0010FFFF"]))
-def test_a_valid_document_is_never_read_field_by_field(net):
-    loaded, checked = _load_counting_checked_path(to_json(net))
+def test_a_valid_document_is_decoded_once_and_no_element_is_read_field_by_field(
+        net):
+    loaded, decoded, read = _load_counting(to_json(net))
     assert loaded == net
-    assert checked == 0
+    assert (decoded, read) == (1, 0)
 
 
 def test_a_load_releases_each_element_once_it_is_added(monkeypatch, s1_net):
@@ -420,12 +430,18 @@ def test_a_load_releases_each_element_once_it_is_added(monkeypatch, s1_net):
     assert doc["vertices"] == [None] * 4 and doc["edges"] == [None] * 3
 
 
-def test_an_invalid_document_is_read_field_by_field_once():
-    text = to_json(fixtures.s1()).replace('"d": 2.4', '"d": 3.4')
-    error, checked = _load_counting_checked_path(text)
-    assert str(error) == ("$.edges[0].weight[0]: "
-                          "channel 1 degree 3.4 exceeds scale 3")
-    assert checked == 1
+@pytest.mark.parametrize("old,new,message", [
+    ('"d": 2.4', '"d": 3.4',
+     "$.edges[0].weight[0]: channel 1 degree 3.4 exceeds scale 3"),
+    ('"src": 0', '"src": true', "$.edges[0].src: integer expected"),
+    ('"id": 0', '"id": 0, "id": 9', '$.vertices[0]: duplicate key "id"'),
+    ("{", "[", "$: malformed JSON: Expecting ',' delimiter (line 2 column 9)"),
+], ids=["core-error", "schema-error", "duplicate-key", "malformed"])
+def test_an_invalid_document_is_decoded_once(old, new, message):
+    text = to_json(fixtures.s1()).replace(old, new, 1)
+    error, decoded, _ = _load_counting(text)
+    assert str(error) == message
+    assert decoded == 1
 
 
 @given(nets())
@@ -636,3 +652,44 @@ def test_a_surrogate_pair_loads_as_one_character(s1_net):
     doc["name"] = doc["edges"][1]["label"] = "x\U0001F600"
     net = from_json(json.dumps(doc))
     assert net.name == net.edges[1].label == "x\U0001F600"
+
+
+
+_ONE_EDGE = ('{"mode": "FNSN", "name": "x", "scale": [3, 2, 1], "vertices": ['
+             '{"id": 0, "label": "a", "membership": [{"d": 0}, {"d": 0}, {"d": 0}]}, '
+             '{"id": 1, "label": "b", "membership": [{"d": 0}, {"d": 0}, {"d": 1}]}], '
+             '"edges": [{"src": 0, "dst": 1, "label": "r", '
+             '"weight": [{"d": 1}, {"d": 0}, {"d": 0}]}]}')
+
+
+@pytest.mark.parametrize("old,first,second,message", [
+    ('"d": 0', '"d": 9.0', '"d": 3.0',
+     '$.vertices[0].membership[0]: duplicate key "d"'),
+    ('"mode": "FNSN"', '"mode": "bogus"', '"mode": "FNSN"',
+     '$: duplicate key "mode"'),
+    ('"id": 0', '"id": 0', '"id": 1', '$.vertices[0]: duplicate key "id"'),
+    ('"label": "r"', '"label": "r"', '"label": "s"',
+     '$.edges[0]: duplicate key "label"'),
+    ('"id": 0', '"id": 0, "x": 1', '"x": 2', '$.vertices[0]: duplicate key "x"'),
+    ('"label": "r"', '"label": "r", "\\u00e9": 1', '"\\u00e9": 2',
+     '$.edges[0]: duplicate key "\\u00e9"'),
+], ids=["entry", "document", "vertex-id", "edge-label", "unknown-key",
+        "escaped-key"])
+@pytest.mark.parametrize("swapped", [False, True], ids=["in-order", "swapped"])
+def test_a_repeated_key_is_a_located_error(old, first, second, message,
+                                           swapped):
+    pairs = f"{second}, {first}" if swapped else f"{first}, {second}"
+    with pytest.raises(SchemaError) as info:
+        from_json(_ONE_EDGE.replace(old, pairs, 1))
+    assert str(info.value) == message
+
+
+def test_the_first_key_met_again_is_named_and_unread_objects_may_repeat_keys():
+    # the pairs run label, id, id, label: "id" is the first key met again
+    text = _ONE_EDGE.replace('"id": 0', '"label": "a", "id": 0, "id": 0', 1)
+    with pytest.raises(SchemaError) as info:
+        from_json(text)
+    assert str(info.value) == '$.vertices[0]: duplicate key "id"'
+    unread = _ONE_EDGE.replace(
+        '"id": 0', '"id": 0, "extra": {"q": 1, "q": 2}, "x": [{"d": 1, "d": 1}]', 1)
+    assert from_json(unread) == from_json(_ONE_EDGE)
