@@ -37,7 +37,7 @@ def main() -> int:
         ranked = ", ".join(f"{labels[r.vertex_id]} ({r.score:+.2f})"
                            for r in result.ranked)
         lines.append(f"  {vertex.label} -> {ranked}\n")
-    return write_output("".join(lines))  # as `polarnet polarity` writes
+    return write_output(lines)  # as `polarnet polarity` writes
 
 
 if __name__ == "__main__":

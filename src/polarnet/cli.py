@@ -9,7 +9,9 @@ locale.  A reader that closes stdout early ends the output quietly, with the
 command's own exit code.
 
 ``read_net`` is the one way a net file is read, and ``write_output`` the one
-way output is written, here and in ``scripts/``.
+way output is written, here and in ``scripts/``.  The latter takes a
+document in pieces and writes them as they are made, so a command's peak
+memory does not grow with its output beyond the net.
 Beyond ``core``, it and each command import what they use when they run,
 so one ``python -m polarnet`` process loads only the modules its command and
 input format need.
@@ -20,6 +22,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .core import NetError, SemanticNet
 
@@ -93,24 +96,45 @@ def read_net(path: str | os.PathLike[str], fmt: str | None = None) -> SemanticNe
         raise ReadError(str(exc), 1) from exc  # line:col: or $.json.path: …
 
 
-def write_output(text: str, output: str | os.PathLike[str] | None = None) -> int:
-    """Write ``text`` as UTF-8 to the file ``output``, else to stdout.
+def _batches(pieces: Iterable[str], size: int = 1 << 15) -> Iterator[str]:
+    """``pieces`` joined in order into runs of about ``size`` characters."""
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(batch)
+            batch, length = [], 0
+    yield "".join(batch)
 
-    All data leaves the CLI here.  Returns 2, after a ``cannot write …``
-    message on stderr, when it cannot be written; returns 0 when stdout's
-    reader has gone, ending the output quietly.
+
+def write_output(pieces: str | Iterable[str],
+                 output: str | os.PathLike[str] | None = None) -> int:
+    """Write ``pieces``, one str or an iterable of them, as UTF-8 to the file
+    ``output``, else to stdout.
+
+    All data leaves the CLI here, a bounded run at a time, so no document is
+    joined or encoded whole.  Returns 2, after a ``cannot write …`` message
+    on stderr, when any write fails; returns 0 when stdout's reader has
+    gone, ending the output quietly.
     """
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if output is None and sys.stdout is None:  # started with stdout closed
         print("cannot write <stdout>: it is closed", file=sys.stderr)
         return 2
     try:
         if output is not None:
-            Path(output).write_text(text, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as file:
+                file.writelines(pieces)
         elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(text.encode("utf-8"))
-            sys.stdout.buffer.flush()
+            # runs go straight into stdout's own buffer: a text layer over it
+            # would flush again, and fail again, when detached after an error
+            buffer = sys.stdout.buffer
+            buffer.writelines(batch.encode("utf-8") for batch in _batches(pieces))
+            buffer.flush()
         else:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except OSError as exc:
         if output is None and isinstance(exc, BrokenPipeError):
             # The reader is gone: end quietly, and point stdout at devnull so
@@ -138,20 +162,24 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_validate(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+# Each command returns its exit code and its stdout text: a str, or pieces.
+_Output = tuple[int, Iterable[str]]
+
+
+def _cmd_validate(net: SemanticNet, args: argparse.Namespace) -> _Output:
     violations = net.validate()
     if not violations:
         return 0, "OK\n"
     code = 1 if any(v.severity == "error" for v in violations) else 0
-    return code, "".join(f"{violation}\n" for violation in violations)
+    return code, [f"{violation}\n" for violation in violations]
 
 
-def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
-    return 0, "".join(f"{flag}={'true' if value else 'false'}\n"
-                      for flag, value in net.classify().flags().items())
+def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> _Output:
+    return 0, [f"{flag}={'true' if value else 'false'}\n"
+               for flag, value in net.classify().flags().items()]
 
 
-def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> _Output:
     from .matrix import adjacency_tensor, membership_matrix
     mm = membership_matrix(net)
     tensor = adjacency_tensor(net)
@@ -169,12 +197,12 @@ def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
     return 0, "\n\n".join(blocks) + "\n"
 
 
-def _cmd_render(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
-    from .io import to_dot
-    return 0, to_dot(net)
+def _cmd_render(net: SemanticNet, args: argparse.Namespace) -> _Output:
+    from .io import _dot_lines
+    return 0, _dot_lines(net)
 
 
-def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> _Output:
     from .analysis import Polarity, polar_select
     vertex = net.find_vertex(args.vertex)
     if vertex is None:
@@ -187,10 +215,10 @@ def _cmd_select(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
         lines.append(f"{rank}. {net.vertex(item.vertex_id).label} "
                      f"score={_fmt(item.score)} "
                      f"({_fmt(t.p)}, {_fmt(t.u)}, {_fmt(t.n)})\n")
-    return 0, "".join(lines)
+    return 0, lines
 
 
-def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> _Output:
     from .analysis import net_polarity
     try:
         summary, label = net_polarity(net)
@@ -201,15 +229,14 @@ def _cmd_polarity(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]
                f"label {label.value}\n")
 
 
-def _cmd_convert(net: SemanticNet, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_convert(net: SemanticNet, args: argparse.Namespace) -> _Output:
     if args.target == "json":
-        from .io import to_json
-        return 0, to_json(net)
-    from .dsl import format_net
-    return 0, format_net(net)
+        from .io import _json_pieces
+        return 0, _json_pieces(net)
+    from .dsl import _pnet_lines
+    return 0, _pnet_lines(net)
 
 
-# Each command returns its exit code and the text it writes to stdout.
 _COMMANDS = {"validate": _cmd_validate, "classify": _cmd_classify,
              "matrices": _cmd_matrices, "render": _cmd_render,
              "select": _cmd_select, "polarity": _cmd_polarity,
@@ -223,5 +250,5 @@ def main(argv: list[str] | None = None) -> int:
     except ReadError as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    code, text = _COMMANDS[args.command](net, args)
-    return write_output(text, getattr(args, "output", None)) or code
+    code, pieces = _COMMANDS[args.command](net, args)
+    return write_output(pieces, getattr(args, "output", None)) or code

@@ -14,10 +14,11 @@ net, ``analysis.net_polarity``'s snapshot of its terms, is replaced whole by
 one assignment and never changed in place, so reads stay thread-safe.
 
 This module is the one place that checks the invariants.  Construction
-enforces entry domain and range, label syntax, unique labels, no loops and
-no duplicate edges; it raises a :class:`NetError` whose ``kind`` and
-``channel`` say which invariant broke and where, and the ``.pnet`` and JSON
-loaders turn those into locations in their input without checking again.
+enforces entry domain and range, label syntax, names and edge labels that
+encode as UTF-8, unique labels, no loops and no duplicate edges; it raises
+a :class:`NetError` whose ``kind`` and ``channel`` say which invariant broke
+and where, and the ``.pnet`` and JSON loaders turn those into locations in
+their input without checking again.
 PNSN crispness depends on the mode, so ``validate`` alone checks it.
 """
 from __future__ import annotations
@@ -54,14 +55,17 @@ DEFAULT_SCALE = (3.0, 2.0, 1.0)
 # Labels double as DSL identifiers and matrix row names, so they are
 # restricted to identifier syntax (multi-word phrases use underscores).
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A net name or edge label is any text that encodes as UTF-8.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class NetError(ValueError):
     """Raised when a construction step would break a net invariant.
 
     ``kind`` names the invariant: "scale", "coefficient", "non-finite",
-    "range", "label", "duplicate label", "loop" or "duplicate edge"; it is
-    None for other errors, such as an unknown vertex id.  ``channel`` is the
+    "range", "label", "lone surrogate" (in a net name or edge label),
+    "duplicate label", "loop" or "duplicate edge"; it is None for other
+    errors, such as an unknown vertex id.  ``channel`` is the
     1-based channel of a scale or entry problem once it is known, else None.
     """
 
@@ -393,11 +397,12 @@ _STRUCTURE_TEXT = {
     "duplicate label": "duplicate vertex label {!r}",
     "loop": "loop on vertex {!r} rejected",
     "duplicate edge": "duplicate edge {!r} -> {!r}",
+    "lone surrogate": "lone surrogate in string",
 }
 
 
 def _structure_error(kind: str, *labels: object) -> NetError:
-    """The ``kind`` label, loop or duplicate problem, worded for its labels."""
+    """The ``kind`` text, loop or duplicate problem, worded for its labels."""
     return NetError(_STRUCTURE_TEXT[kind].format(*labels), kind)
 
 
@@ -435,6 +440,8 @@ class SemanticNet:
                 isinstance(s, (int, float)) and type(s) is not bool
                 for s in scale)):
             raise TypeError(f"scale must be 3 numbers, got {scale!r}")
+        if not name.isascii() and _SURROGATE_RE.search(name):
+            raise _structure_error("lone surrogate")
         if len(scale) != 3:
             raise NetError(f"scale needs 3 components, got {len(scale)}")
         scale = tuple(_float(s) for s in scale)
@@ -514,6 +521,8 @@ class SemanticNet:
         if not (isinstance(label, str) and type(indeterminate) is bool):
             raise TypeError(f"label must be a str and indeterminate a bool, "
                             f"got {label!r} and {indeterminate!r}")
+        if not label.isascii() and _SURROGATE_RE.search(label):
+            raise _structure_error("lone surrogate")
         vertices = self._vertices
         n = len(vertices)
         if not (type(src) is int and type(dst) is int

@@ -31,14 +31,16 @@ through the token parser, which alone raises :class:`ParseError`, so errors
 are located and worded the same whichever way a line was first tried.
 
 ``format_net`` writes each line from one f-string, and formats each
-distinct channel entry once per call.
+distinct channel entry once per call.  It joins ``_pnet_lines``, which
+yields the lines in order, and which the CLI writes as they come.
 """
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
-from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
-                   fmt_number, triple_formatter)
+from .core import (DEFAULT_SCALE, ChannelTriple, NetError, NetMode, NeutroValue,
+                   SemanticNet, fmt_number, triple_formatter)
 
 __all__ = ["ParseError", "parse_net", "format_net"]
 
@@ -238,24 +240,29 @@ def _parse_header(cur: _Cursor) -> SemanticNet:
         raise ParseError(cur.lineno, mode_tok.col,
                          f"unknown net mode {mode_tok.text!r} "
                          "(expected fnsn, pnsn or pfnsn)")
-    name = cur.take("quoted", "quoted net name").string
-    if not cur.accept_keyword("scale"):
-        return SemanticNet(mode, name)
-    tokens = [cur.take("num", f"channel {k} scale") for k in range(1, 4)]
+    name = cur.take("quoted", "quoted net name")
+    tokens = ([cur.take("num", f"channel {k} scale") for k in range(1, 4)]
+              if cur.accept_keyword("scale") else [])
     try:
-        return SemanticNet(mode, name, tuple(float(tok.text) for tok in tokens))
+        return SemanticNet(mode, name.string,
+                           tuple(float(tok.text) for tok in tokens) or DEFAULT_SCALE)
     except NetError as exc:
-        raise ParseError(cur.lineno, tokens[exc.channel - 1].col, str(exc)) from exc
+        tok = name if exc.channel is None else tokens[exc.channel - 1]
+        raise ParseError(cur.lineno, tok.col, str(exc)) from exc
 
 
 def _located(cur: _Cursor, exc: NetError, values: list[_Token],
-             label: _Token, dst: _Token | None = None) -> ParseError:
+             label: _Token, dst: _Token | None = None,
+             quoted: _Token | None = None) -> ParseError:
     """Core's ``exc`` at the token it concerns: a channel's value, the
-    destination of a loop, else the vertex label or edge source."""
+    destination of a loop, the quoted edge label, else the vertex label or
+    edge source."""
     if exc.channel is not None:
         tok = values[exc.channel - 1]
     elif exc.kind == "loop":
         tok = dst
+    elif exc.kind == "lone surrogate":
+        tok = quoted
     else:
         tok = label
     return ParseError(cur.lineno, tok.col, str(exc))
@@ -275,9 +282,9 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
     src_tok = cur.take("word", "source vertex label")
     cur.take("->", "'->'")
     dst_tok = cur.take("word", "destination vertex label")
-    label = ""
+    quoted = None
     if cur.accept_keyword("label"):
-        label = cur.take("quoted", "quoted edge label").string
+        quoted = cur.take("quoted", "quoted edge label")
     triple, tokens = _parse_triple(cur)
     indeterminate = cur.accept_keyword("indeterminate")
     src = net.find_vertex(src_tok.text)
@@ -289,10 +296,10 @@ def _parse_edge(cur: _Cursor, net: SemanticNet) -> None:
         raise ParseError(cur.lineno, dst_tok.col,
                          f"unknown vertex {dst_tok.text!r}")
     try:
-        net.add_edge(src.id, dst.id, triple, label=label,
+        net.add_edge(src.id, dst.id, triple, label=quoted.string if quoted else "",
                      indeterminate=indeterminate)
     except NetError as exc:
-        raise _located(cur, exc, tokens, src_tok, dst_tok) from exc
+        raise _located(cur, exc, tokens, src_tok, dst_tok, quoted) from exc
 
 
 def _value(text: str) -> NeutroValue:
@@ -404,15 +411,19 @@ def format_net(net: SemanticNet) -> str:
     insertion order, numbers printed with minimal digits, empty edge labels
     omitted.
     """
+    return "".join(_pnet_lines(net))
+
+
+def _pnet_lines(net: SemanticNet) -> Iterator[str]:
+    """``format_net``'s text in order, one line at a time."""
     text = triple_formatter()
     vertices = net._vertices
-    lines = [f"net {net.mode.value.lower()} {_quote(net.name)} scale "
-             + " ".join(fmt_number(s) for s in net.scale)]
-    lines += [f"vertex {v.label} {text(v.membership)}"
-              f"{' indeterminate' if v.indeterminate else ''}"
-              for v in vertices]
-    lines += [f"edge {vertices[e.src].label} -> {vertices[e.dst].label}"
-              f"{f' label {_quote(e.label)}' if e.label else ''} {text(e.weight)}"
-              f"{' indeterminate' if e.indeterminate else ''}"
-              for e in net._edges]
-    return "\n".join(lines) + "\n"
+    yield (f"net {net.mode.value.lower()} {_quote(net.name)} scale "
+           f"{' '.join(fmt_number(s) for s in net.scale)}\n")
+    for v in vertices:
+        yield (f"vertex {v.label} {text(v.membership)}"
+               f"{' indeterminate' if v.indeterminate else ''}\n")
+    for e in net._edges:
+        yield (f"edge {vertices[e.src].label} -> {vertices[e.dst].label}"
+               f"{f' label {_quote(e.label)}' if e.label else ''} {text(e.weight)}"
+               f"{' indeterminate' if e.indeterminate else ''}\n")

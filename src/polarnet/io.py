@@ -35,10 +35,13 @@ An object the loader reads may not repeat a key: ``$: duplicate key "mode"``.
 ``to_dot`` writes each line from one f-string, formats each distinct
 channel entry once per call and normalizes a membership inline, so it
 imports no ``analysis``.
+
+``_json_pieces`` and ``_dot_lines`` yield each document in pieces, in order;
+``to_json`` and ``to_dot`` join them, and the CLI writes them as they come.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
                    triple_formatter)
@@ -70,30 +73,35 @@ def _entries(triple: ChannelTriple) -> str:
             f'{c.magnitude!r}\n        }}\n      ]')
 
 
-def _array(items: str) -> str:
-    return f"[\n{items}\n  ]" if items else "[]"
+def _json_pieces(net: SemanticNet) -> Iterator[str]:
+    """``to_json``'s document in order: the header, each vertex and each edge
+    with the separator before it, the text between the arrays and the end."""
+    from json.encoder import encode_basestring_ascii as _quote
+    scale = net.scale
+    yield (f'{{\n  "mode": "{net.mode.value}",\n  "name": {_quote(net.name)},\n'
+           f'  "scale": [\n    {scale[0]!r},\n    {scale[1]!r},\n'
+           f'    {scale[2]!r}\n  ],\n  "vertices": [')
+    sep = "\n"
+    for v in net._vertices:
+        yield (f'{sep}    {{\n      "id": {v.id},\n      "label": {_quote(v.label)},\n'
+               f'      "indeterminate": {"true" if v.indeterminate else "false"},\n'
+               f'      "membership": {_entries(v.membership)}\n    }}')
+        sep = ",\n"
+    yield ("\n  ]" if net._vertices else "]") + ',\n  "edges": ['
+    sep = "\n"
+    for e in net._edges:
+        yield (f'{sep}    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
+               f'      "label": {_quote(e.label)},\n'
+               f'      "indeterminate": {"true" if e.indeterminate else "false"},\n'
+               f'      "weight": {_entries(e.weight)}\n    }}')
+        sep = ",\n"
+    yield ("\n  ]" if net._edges else "]") + "\n}\n"
 
 
 def to_json(net: SemanticNet) -> str:
     """Serialize a net to its canonical JSON document.  Construction keeps
     every number finite, so each is written as its ``repr``."""
-    from json.encoder import encode_basestring_ascii as _quote
-    scale = net.scale
-    vertices = ",\n".join(
-        f'    {{\n      "id": {v.id},\n      "label": {_quote(v.label)},\n'
-        f'      "indeterminate": {"true" if v.indeterminate else "false"},\n'
-        f'      "membership": {_entries(v.membership)}\n    }}'
-        for v in net._vertices)
-    edges = ",\n".join(
-        f'    {{\n      "src": {e.src},\n      "dst": {e.dst},\n'
-        f'      "label": {_quote(e.label)},\n'
-        f'      "indeterminate": {"true" if e.indeterminate else "false"},\n'
-        f'      "weight": {_entries(e.weight)}\n    }}'
-        for e in net._edges)
-    return (f'{{\n  "mode": "{net.mode.value}",\n  "name": {_quote(net.name)},\n'
-            f'  "scale": [\n    {scale[0]!r},\n    {scale[1]!r},\n'
-            f'    {scale[2]!r}\n  ],\n  "vertices": {_array(vertices)},\n'
-            f'  "edges": {_array(edges)}\n}}\n')
+    return "".join(_json_pieces(net))
 
 
 _MISSING = object()
@@ -113,20 +121,9 @@ def _field(obj: dict, key: str, path: str, kind: type,
 
 
 def _text(obj: dict, key: str, path: str, default: Any = _MISSING) -> str:
-    """``_field`` for a name or edge label, which output encodes as UTF-8, so
-    it cannot hold the lone surrogate that a JSON escape can spell."""
-    text = _field(obj, key, path, str, default)
-    if not _encodes(text):
-        raise SchemaError(f"{path}.{key}", "lone surrogate in string")
-    return text
-
-
-def _encodes(text: str) -> bool:
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        return False
-    return True
+    """``_field`` for a name or edge label; core rejects the lone surrogate
+    that a JSON escape can spell."""
+    return _field(obj, key, path, str, default)
 
 
 class _RepeatedKey(str):
@@ -253,12 +250,10 @@ def from_json(text: str) -> SemanticNet:
         vertices[i] = None
     edges = _field(doc, "edges", "$", list)
     for i, obj in enumerate(edges):
-        # an ASCII label needs no surrogate check
         if (type(obj) is dict and type(src := obj.get("src")) is int
                 and src in id_map and type(dst := obj.get("dst")) is int
                 and dst in id_map
                 and type(label := obj.get("label", "")) is str
-                and (label.isascii() or _encodes(label))
                 and type(flag := obj.get("indeterminate", False)) is bool
                 and type(w := obj.get("weight")) is list and len(w) == 3
                 and type(w[0]) is NeutroValue and type(w[1]) is NeutroValue
@@ -329,12 +324,12 @@ def _read_edge(obj: Any, path: str, id_map: dict[int, int]
 
 def _located(exc: NetError, path: str, triple_key: str) -> SchemaError:
     """Core's ``exc`` at the path it concerns: the channel entry under
-    ``triple_key`` (a scale, membership or weight), the vertex label, else
-    the vertex or edge itself."""
+    ``triple_key`` (a scale, membership or weight), the net name, the vertex
+    or edge label, else the vertex or edge itself."""
     if exc.channel is not None:
         path = f"{path}.{triple_key}[{exc.channel - 1}]"
-    elif exc.kind in ("label", "duplicate label"):
-        path = f"{path}.label"
+    elif exc.kind in ("label", "duplicate label", "lone surrogate"):
+        path = f"{path}.{'name' if path == '$' else 'label'}"
     return SchemaError(path, str(exc))
 
 
@@ -356,10 +351,14 @@ def to_dot(net: SemanticNet) -> str:
     ``magnitude / s_k``, or 0.0 for an indeterminacy.  Construction keeps
     each degree within its scale.
     """
+    return "".join(_dot_lines(net))
+
+
+def _dot_lines(net: SemanticNet) -> Iterator[str]:
+    """``to_dot``'s document in order, one line at a time."""
     weight_text = triple_formatter()
     s1, s2, s3 = net.scale
-    out = ["digraph {"] if not net.name else [
-        f'digraph "{_dot_escape(net.name)}" {{']
+    yield f'digraph "{_dot_escape(net.name)}" {{\n' if net.name else "digraph {\n"
     indeterminate_count = 0
     vertices = net._vertices
     for v in vertices:
@@ -371,11 +370,11 @@ def to_dot(net: SemanticNet) -> str:
         if v.indeterminate:
             indeterminate_count += 1
             text, style = f"N_{indeterminate_count} {text}", ", style=dotted"
-        out.append(f'  "{v.label}" [label="{text}\\n({p:.2f}, {u:.2f}, {n:.2f})"'
-                   f'{style}];')
-    out += [f'  "{vertices[e.src].label}" -> "{vertices[e.dst].label}" [label="'
-            f'{f"{_dot_escape(e.label)} " if e.label else ""}{weight_text(e.weight)}"'
-            f'{", style=dotted" if e.indeterminate else ""}];'
-            for e in net._edges]
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield (f'  "{v.label}" [label="{text}\\n({p:.2f}, {u:.2f}, {n:.2f})"'
+               f'{style}];\n')
+    for e in net._edges:
+        yield (f'  "{vertices[e.src].label}" -> "{vertices[e.dst].label}" [label="'
+               f'{f"{_dot_escape(e.label)} " if e.label else ""}'
+               f'{weight_text(e.weight)}"'
+               f'{", style=dotted" if e.indeterminate else ""}];\n')
+    yield "}\n"

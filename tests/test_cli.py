@@ -18,6 +18,7 @@ from polarnet.dsl import format_net
 from polarnet.io import to_dot, to_json
 
 from strategies import json_documents, mutated_pnet
+from test_scale import large_net
 
 
 def run(capsys, *argv):
@@ -449,3 +450,64 @@ def test_validate_exits_zero_on_warnings_alone_and_one_on_an_error(
         "error: edge 'Bob' -> 'healthy': channel 1 non-crisp degree 2.7 (PNSN requires 0 or 3)\n"
         "error: edge 'Bob' -> 'plump': channel 2 non-crisp degree 1.4 (PNSN requires 0 or 2)\n"
         "error: edge 'Bob' -> 'anaemic': channel 3 non-crisp degree 0.3 (PNSN requires 0 or 1)\n")
+
+
+# -- output written as it is made ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def large_pnet(tmp_path_factory):
+    """A .pnet file whose JSON form is over 1 MiB."""
+    path = tmp_path_factory.mktemp("large") / "large.pnet"
+    net = large_net(seed=800, vertices=800, edges=3200)
+    path.write_text(format_net(net), encoding="utf-8")
+    assert len(to_json(net)) >= 2**20
+    return path
+
+
+def test_a_reader_that_goes_away_mid_stream_ends_the_output_quietly(large_pnet):
+    read_end, write_end = os.pipe()
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "polarnet", "convert", str(large_pnet),
+             "--to", "json"], stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    try:
+        assert os.read(read_end, 4096).startswith(b'{\n  "mode": "PFNSN"')
+    finally:
+        os.close(read_end)  # the reader is gone after its first read
+    _, err = child.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert (child.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_large_output_that_cannot_be_written_exits_two(large_pnet):
+    with open("/dev/full", "wb") as full:
+        child = _polarnet(["convert", str(large_pnet), "--to", "json"], full)
+    assert b"Traceback" not in child.stderr
+    assert child.returncode == 2
+    assert child.stderr.decode().startswith("cannot write <stdout>: ")
+
+
+@pytest.mark.parametrize("argv", [["convert", "--to", "json"],
+                                  ["convert", "--to", "pnet"], ["render"]],
+                         ids=["convert-json", "convert-pnet", "render"])
+@pytest.mark.parametrize("source", ["s3.pnet", "large"])
+def test_an_output_file_holds_the_bytes_of_stdout(tmp_path, fixtures_dir,
+                                                  large_pnet, argv, source):
+    path = str(large_pnet) if source == "large" else fixture(fixtures_dir, source)
+    if argv == ["convert", "--to", "pnet"]:
+        json_path = tmp_path / "net.json"
+        code = main(["convert", path, "--to", "json", "-o", str(json_path)])
+        assert code == 0
+        path = str(json_path)
+    target = tmp_path / "out"
+    stdout = _polarnet([argv[0], path, *argv[1:]], subprocess.PIPE)
+    to_file = _polarnet([argv[0], path, *argv[1:], "-o", str(target)],
+                        subprocess.PIPE)
+    assert (stdout.returncode, stdout.stderr) == (0, b"")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert target.read_bytes() == stdout.stdout

@@ -479,6 +479,32 @@ def test_constructor_rejects_mode_or_name_of_wrong_type(mode, name):
         SemanticNet(mode, name)
 
 
+@pytest.mark.parametrize("call", [
+    lambda net: SemanticNet(NetMode.FNSN, "x\ud800"),
+    lambda net: SemanticNet(NetMode.FNSN, "\udfff", (0, 1, 1)),
+    lambda net: net.add_edge(0, 1, (1, 0, 0), label="\udc00"),
+    lambda net: net.add_edge(0, 0, (9, 0, 0), label="a\ud83d\ude00"),
+], ids=["name", "name-before-scale", "edge-label", "edge-label-first"])
+def test_a_lone_surrogate_in_a_name_or_edge_label_is_rejected(call):
+    net = SemanticNet(NetMode.FNSN, "x")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    before = copy.copy(net)
+    with pytest.raises(NetError) as info:
+        call(net)
+    assert (info.value.kind, info.value.channel) == ("lone surrogate", None)
+    assert str(info.value) == "lone surrogate in string"
+    assert net == before and net._out == before._out
+
+
+def test_text_that_encodes_as_utf8_is_kept():
+    net = SemanticNet(NetMode.FNSN, "x\U0001F600\u00e9\x00")
+    net.add_vertex("a", (0, 0, 0))
+    net.add_vertex("b", (0, 0, 0))
+    edge = net.add_edge(0, 1, (1, 0, 0), label="\ufffd\U0010FFFF")
+    assert (net.name, edge.label) == ("x\U0001F600\u00e9\x00", "\ufffd\U0010FFFF")
+
+
 @pytest.mark.parametrize("scale", ["321", b"321"], ids=["str", "bytes"])
 def test_constructor_rejects_a_string_scale(scale):
     with pytest.raises(TypeError, match="scale must be 3 numbers"):

@@ -186,6 +186,23 @@ def test_non_finite_numbers_are_located_errors(source, line, column, message_par
     assert message_part in info.value.message
 
 
+@pytest.mark.parametrize("source,line,column", [
+    ('net fnsn "x\ud800"', 1, 10),
+    ('net fnsn "\udfff" scale 0 1 1', 1, 10),
+    ('net fnsn "x"\nvertex a (0, 0, 0)\nvertex b (0, 0, 0)\n'
+     'edge a -> b label "r\udc00" (1, 0, 0)', 4, 19),
+    ('net fnsn "x"\nvertex a (0, 0, 0)\n'
+     'edge a -> a label "\ud800" (9, 0, 0)', 3, 19),
+], ids=["name", "name-before-scale", "edge-label", "edge-label-first"])
+def test_a_lone_surrogate_in_a_quoted_string_is_located(source, line, column):
+    """``parse_net`` of a str can hold what no UTF-8 file can: core's error is
+    located at the quoted token."""
+    with pytest.raises(ParseError) as info:
+        parse_net(source)
+    assert (info.value.line, info.value.column, info.value.message) == (
+        line, column, "lone surrogate in string")
+
+
 def _outcome(source):
     try:
         return parse_net(source)
