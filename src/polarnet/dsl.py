@@ -28,7 +28,9 @@ pattern, and a well-formed line is read with that one regex match; equal
 value texts share one value.  The header, every other line, and every line
 that would fail (no match, an unknown endpoint, or any error from core) go
 through the token parser, which alone raises :class:`ParseError`, so errors
-are located and worded the same whichever way a line was first tried.
+are located and worded the same whichever way a line was first tried.  It
+reads each token with one pattern, made of the same number and identifier
+pieces as the line patterns, and both ways decode escapes with one helper.
 
 ``format_net`` writes each line from one f-string, and formats each
 distinct channel entry once per call.  It joins ``_pnet_lines``, which
@@ -37,7 +39,7 @@ yields the lines in order, and which the CLI writes as they come.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (DEFAULT_SCALE, ChannelTriple, NetError, NetMode, NeutroValue,
                    SemanticNet, fmt_number, triple_formatter)
@@ -47,8 +49,6 @@ __all__ = ["ParseError", "parse_net", "format_net"]
 _MODES = {m.value.lower(): m for m in NetMode}
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUM_RE = re.compile(_NUM, re.ASCII)
-_WORD_RE = re.compile(_IDENT)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 
 # Whole-line patterns for well-formed vertex and edge statements.  They
@@ -65,9 +65,11 @@ _VERTEX_LINE = re.compile(
 _EDGE_LINE = re.compile(
     rf"[ \t]*edge[ \t]+({_IDENT})[ \t]*->[ \t]*({_IDENT})"
     rf'(?:[ \t]+label[ \t]*"{_QUOTED_BODY}")?[ \t]*{_TRIPLE}{_TAIL}', re.ASCII)
-_ESCAPE_SEQ = re.compile(r"\\(.)")
-_UNESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
-                            "\t": "\\t"})
+_ESCAPE_SEQ = re.compile(r"\\(.)", re.DOTALL)
+# One token after optional blanks; group 1 marks where it starts.
+_TOKEN_RE = re.compile(r'[ \t]*()(?:(#.*)?\Z|([(),]|->)|"((?:[^"\\]|\\.)*)("?)'
+                       rf"|({_NUM})(I?)|({_IDENT}))", re.ASCII | re.DOTALL)
+_UNESCAPES = str.maketrans({char: "\\" + esc for esc, char in _ESCAPES.items()})
 
 
 class ParseError(Exception):
@@ -85,86 +87,55 @@ class ParseError(Exception):
         return type(self), (self.line, self.column, self.message)
 
 
-class _Token:
-    """One token of a statement line, read by attribute only."""
+class _Token(NamedTuple):
+    """One token of a statement line."""
 
-    __slots__ = ("kind", "text", "col", "string")
+    kind: str  # word | num | inum | quoted | ( | ) | , | ->
+    text: str  # as written; a quoted string keeps its quotes
+    col: int  # 1-based
+    string: str | None = None  # a quoted string's decoded text
 
-    def __init__(self, kind: str, text: str, col: int,
-                 string: str | None = None):
-        self.kind = kind  # word | num | inum | quoted | ( | ) | , | ->
-        self.text = text
-        self.col = col  # 1-based
-        self.string = string
+
+def _unescape(body: str, lineno: int = 0, offset: int = 0) -> str:
+    """``body`` with its escapes decoded; the first unknown one, met only by the
+    token parser, is an error on line ``lineno``, ``body`` being at ``offset``."""
+    for esc in _ESCAPE_SEQ.finditer(body):
+        if esc.group(1) not in _ESCAPES:
+            raise ParseError(lineno, offset + esc.end(),
+                             f"unknown escape '\\{esc.group(1)}'")
+    return _ESCAPE_SEQ.sub(lambda esc: _ESCAPES[esc.group(1)], body)
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    n = len(line)
-    while pos < n:
-        ch = line[pos]
-        if ch in " \t":
-            pos += 1
-            continue
-        if ch == "#":
-            break
-        col = pos + 1
-        if ch in "(),":
-            tokens.append(_Token(ch, ch, col))
-            pos += 1
-            continue
-        if ch == "-":
-            if pos + 1 < n and line[pos + 1] == ">":
-                tokens.append(_Token("->", "->", col))
-                pos += 2
-                continue
-            raise ParseError(lineno, col, "expected '->'")
-        if ch == '"':
-            pos += 1
-            out: list[str] = []
-            while pos < n:
-                c = line[pos]
-                if c == "\\":
-                    if pos + 1 >= n:
-                        raise ParseError(lineno, pos + 1,
-                                         "dangling escape in string")
-                    esc = line[pos + 1]
-                    if esc not in _ESCAPES:
-                        raise ParseError(lineno, pos + 2,
-                                         f"unknown escape '\\{esc}'")
-                    out.append(_ESCAPES[esc])
-                    pos += 2
-                    continue
-                if c == '"':
-                    pos += 1
-                    break
-                out.append(c)
-                pos += 1
-            else:
-                raise ParseError(lineno, n + 1, "unterminated string")
-            tokens.append(_Token("quoted", line[col - 1:pos], col,
-                                 string="".join(out)))
-            continue
-        m = _NUM_RE.match(line, pos)
-        if m:
-            end = m.end()
-            kind = "num"
-            if end < n and line[end] == "I":
-                kind, end = "inum", end + 1
-            if end < n and (line[end].isalnum() or line[end] in "_."):
-                raise ParseError(lineno, col, f"malformed number starting "
-                                 f"at {line[pos:end + 1]!r}")
-            tokens.append(_Token(kind, line[pos:end], col))
-            pos = end
-            continue
-        m = _WORD_RE.match(line, pos)
-        if m:
-            tokens.append(_Token("word", m.group(0), col))
-            pos = m.end()
-            continue
-        raise ParseError(lineno, col, f"unexpected character {ch!r}")
-    return tokens
+    while True:
+        m = _TOKEN_RE.match(line, pos)
+        if m is None:
+            col = len(line) - len(line[pos:].lstrip(" \t")) + 1
+            raise ParseError(lineno, col, "expected '->'" if line[col - 1] == "-"
+                             else f"unexpected character {line[col - 1]!r}")
+        start = m.start(1)
+        pos = m.end()
+        text = line[start:pos]
+        group = m.lastindex  # the last group of the alternative that matched
+        if group <= 2:  # end of line or a comment
+            return tokens
+        if group == 3:  # ( ) , ->
+            tokens.append(_Token(text, text, start + 1))
+        elif group == 5:  # a string: 4 is its body, 5 its closing quote
+            string = _unescape(m.group(4), lineno, start + 1)
+            if not m.group(5):  # the body ends at the line's end or last backslash
+                raise ParseError(lineno, pos + 1, "dangling escape in string"
+                                 if pos < len(line) else "unterminated string")
+            tokens.append(_Token("quoted", text, start + 1, string))
+        elif group == 7:  # a number: 6 is its digits, 7 an "I"
+            if pos < len(line) and (line[pos].isalnum() or line[pos] in "_."):
+                raise ParseError(lineno, start + 1, f"malformed number starting "
+                                 f"at {line[start:pos + 1]!r}")
+            tokens.append(_Token("inum" if m.group(7) else "num", text, start + 1))
+        else:  # group 8, a word
+            tokens.append(_Token("word", text, start + 1))
 
 
 class _Cursor:
@@ -340,7 +311,7 @@ def _add_statement(net: SemanticNet, line: str, values: _Values) -> bool:
             if src is None or dst is None:
                 return False
             if label and "\\" in label:
-                label = _ESCAPE_SEQ.sub(lambda esc: _ESCAPES[esc.group(1)], label)
+                label = _unescape(label)
             net.add_edge(src.id, dst.id,
                          ChannelTriple(values[t1], values[t2], values[t3]),
                          label or "", flag is not None)
@@ -367,8 +338,7 @@ def parse_net(source: str) -> SemanticNet:
     """
     net: SemanticNet | None = None
     values = _Values()
-    lines = source.split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         if net is not None and _add_statement(net, line, values):
             continue
@@ -378,17 +348,14 @@ def parse_net(source: str) -> SemanticNet:
         cur = _Cursor(tokens, lineno, line)
         head = tokens[0]
         if net is None:
-            if head.kind != "word" or head.text != "net":
+            if not cur.accept_keyword("net"):
                 raise ParseError(lineno, head.col, "net header expected")
-            cur.pos += 1
             net = _parse_header(cur)
-        elif head.kind == "word" and head.text == "net":
+        elif cur.accept_keyword("net"):
             raise ParseError(lineno, head.col, "duplicate net header")
-        elif head.kind == "word" and head.text == "vertex":
-            cur.pos += 1
+        elif cur.accept_keyword("vertex"):
             _parse_vertex(cur, net)
-        elif head.kind == "word" and head.text == "edge":
-            cur.pos += 1
+        elif cur.accept_keyword("edge"):
             _parse_edge(cur, net)
         else:
             raise ParseError(lineno, head.col,

@@ -30,7 +30,9 @@ and equal numbers under one flag share one value.  Each vertex and edge is
 added from a few inline type tests and then released from the document, so
 the net grows into the memory the document gives back.  Only an element
 that fails a test is read again, field by field, to word its first problem.
-An object the loader reads may not repeat a key: ``$: duplicate key "mode"``.
+An object the loader reads may not repeat a key, ``$: duplicate key "mode"``,
+nor hold one it does not read, ``$.vertices[0]: unknown field "x"``, which is
+checked after its fields: last in the header, before core's checks elsewhere.
 
 ``to_dot`` writes each line from one f-string, formats each distinct
 channel entry once per call and normalizes a membership inline, so it
@@ -107,6 +109,9 @@ def to_json(net: SemanticNet) -> str:
 _MISSING = object()
 _KIND_WORDS = {dict: "object", list: "array", str: "string", bool: "boolean",
                int: "integer"}
+_DOC_KEYS = frozenset({"mode", "name", "scale", "vertices", "edges", "directed"})
+_VERTEX_KEYS = frozenset({"id", "label", "indeterminate", "membership"})
+_EDGE_KEYS = frozenset({"src", "dst", "label", "indeterminate", "weight"})
 
 
 def _field(obj: dict, key: str, path: str, kind: type,
@@ -118,12 +123,6 @@ def _field(obj: dict, key: str, path: str, kind: type,
         return value
     raise SchemaError(f"{path}.{key}", "missing field" if value is _MISSING
                       else f"{_KIND_WORDS[kind]} expected")
-
-
-def _text(obj: dict, key: str, path: str, default: Any = _MISSING) -> str:
-    """``_field`` for a name or edge label; core rejects the lone surrogate
-    that a JSON escape can spell."""
-    return _field(obj, key, path, str, default)
 
 
 class _RepeatedKey(str):
@@ -185,6 +184,13 @@ def _object(obj: Any, path: str) -> dict:
     return obj
 
 
+def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
+    """Raises for the first key of ``obj`` that is not in ``keys``."""
+    if unknown := [key for key in obj if key not in keys]:
+        from json.encoder import encode_basestring_ascii as _quote
+        raise SchemaError(path, f"unknown field {_quote(unknown[0])}")
+
+
 def _triple(obj: dict, key: str, path: str) -> ChannelTriple:
     """The channel entries ``obj[key]`` of the element at ``path``; raises
     the first problem at its path."""
@@ -232,7 +238,8 @@ def from_json(text: str) -> SemanticNet:
     id_map: dict[int, int] = {}
     vertices = _field(doc, "vertices", "$", list)
     for i, obj in enumerate(vertices):
-        if (type(obj) is dict and type(ext_id := obj.get("id")) is int
+        if (type(obj) is dict and obj.keys() <= _VERTEX_KEYS
+                and type(ext_id := obj.get("id")) is int
                 and ext_id not in id_map
                 and type(label := obj.get("label")) is str
                 and type(flag := obj.get("indeterminate", False)) is bool
@@ -250,7 +257,8 @@ def from_json(text: str) -> SemanticNet:
         vertices[i] = None
     edges = _field(doc, "edges", "$", list)
     for i, obj in enumerate(edges):
-        if (type(obj) is dict and type(src := obj.get("src")) is int
+        if (type(obj) is dict and obj.keys() <= _EDGE_KEYS
+                and type(src := obj.get("src")) is int
                 and src in id_map and type(dst := obj.get("dst")) is int
                 and dst in id_map
                 and type(label := obj.get("label", "")) is str
@@ -278,7 +286,7 @@ def _header(doc: dict) -> SemanticNet:
     except ValueError:
         raise SchemaError("$.mode", f"unknown mode {mode_name!r} "
                           "(expected FNSN, PNSN or PFNSN)") from None
-    name = _text(doc, "name", "$")
+    name = _field(doc, "name", "$", str)
     scale = _field(doc, "scale", "$", list)
     if len(scale) != 3:
         raise SchemaError("$.scale", f"3 components expected, got {len(scale)}")
@@ -290,6 +298,7 @@ def _header(doc: dict) -> SemanticNet:
         raise _located(exc, "$", "scale") from exc
     if doc.get("directed", True) is not True:
         raise SchemaError("$.directed", "only directed nets are supported")
+    _known_keys(doc, "$", _DOC_KEYS)
     return net
 
 
@@ -301,9 +310,11 @@ def _read_vertex(obj: Any, path: str, id_map: dict[int, int]
     ext_id = _field(obj, "id", path, int)
     if ext_id in id_map:
         raise SchemaError(f"{path}.id", f"duplicate vertex id {ext_id}")
-    return (ext_id, _field(obj, "label", path, str),
-            _field(obj, "indeterminate", path, bool, False),
-            _triple(obj, "membership", path))
+    vertex = (ext_id, _field(obj, "label", path, str),
+              _field(obj, "indeterminate", path, bool, False),
+              _triple(obj, "membership", path))
+    _known_keys(obj, path, _VERTEX_KEYS)
+    return vertex
 
 
 def _read_edge(obj: Any, path: str, id_map: dict[int, int]
@@ -317,9 +328,11 @@ def _read_edge(obj: Any, path: str, id_map: dict[int, int]
     dst = _field(obj, "dst", path, int)
     if dst not in id_map:
         raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-    return (src, dst, _text(obj, "label", path, ""),
+    edge = (src, dst, _field(obj, "label", path, str, ""),
             _field(obj, "indeterminate", path, bool, False),
             _triple(obj, "weight", path))
+    _known_keys(obj, path, _EDGE_KEYS)
+    return edge
 
 
 def _located(exc: NetError, path: str, triple_key: str) -> SchemaError:

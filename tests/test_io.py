@@ -710,7 +710,7 @@ def test_a_repeated_key_is_a_located_error(old, first, second, message,
     assert str(info.value) == message
 
 
-def test_the_first_key_met_again_is_named_and_unread_objects_may_repeat_keys():
+def test_the_first_key_met_again_is_named_and_an_unknown_key_before_what_it_holds():
     # the pairs run label, id, id, label: "id" is the first key met again
     text = _ONE_EDGE.replace('"id": 0', '"label": "a", "id": 0, "id": 0', 1)
     with pytest.raises(SchemaError) as info:
@@ -718,4 +718,40 @@ def test_the_first_key_met_again_is_named_and_unread_objects_may_repeat_keys():
     assert str(info.value) == '$.vertices[0]: duplicate key "id"'
     unread = _ONE_EDGE.replace(
         '"id": 0', '"id": 0, "extra": {"q": 1, "q": 2}, "x": [{"d": 1, "d": 1}]', 1)
-    assert from_json(unread) == from_json(_ONE_EDGE)
+    with pytest.raises(SchemaError) as info:
+        from_json(unread)
+    assert str(info.value) == '$.vertices[0]: unknown field "extra"'
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["vertices"][1].update(indeterminat=True),
+     '$.vertices[1]: unknown field "indeterminat"'),
+    (lambda doc: doc["edges"][0].update(lable="rather"),
+     '$.edges[0]: unknown field "lable"'),
+    (lambda doc: doc.update(directd=False), '$: unknown field "directd"'),
+    (lambda doc: doc["edges"][1].update({"\u00e9": 1, "y": 2}),
+     '$.edges[1]: unknown field "\\u00e9"'),
+    # an element's fields are checked first, then its keys, then core's rules
+    (lambda doc: doc["vertices"][0].update(x=1, label=7),
+     "$.vertices[0].label: string expected"),
+    (lambda doc: doc["edges"][0].update(x=1, weight=[{"d": 1}]),
+     "$.edges[0].weight: 3 channel entries expected, got 1"),
+    (lambda doc: doc["vertices"][0].update(x=1, label="n\u00e9"),
+     '$.vertices[0]: unknown field "x"'),
+    (lambda doc: doc["edges"][0].update(x=1, weight=[{"d": 9}, {"d": 0}, {"d": 0}]),
+     '$.edges[0]: unknown field "x"'),
+    # the document's keys come last among its header checks
+    (lambda doc: doc.update(x=1, directed=False),
+     "$.directed: only directed nets are supported"),
+    (lambda doc: doc.update(x=1, scale=[0, 2, 1]),
+     "$.scale[0]: channel 1 scale must be positive and finite, got 0"),
+    (lambda doc: doc.update(x=1) or doc.pop("vertices"), '$: unknown field "x"'),
+], ids=["vertex", "edge", "document", "escaped-key", "vertex-field-first",
+        "edge-field-first", "vertex-key-before-core", "edge-key-before-core",
+        "document-directed-first", "document-core-first", "document-arrays-after"])
+def test_an_unknown_key_is_a_located_error(s1_net, edit, message):
+    doc = json.loads(to_json(s1_net))
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        from_json(json.dumps(doc))
+    assert str(info.value) == message

@@ -23,8 +23,8 @@ from polarnet.core import (ChannelTriple, NetError, NetMode, NeutroValue,
 from polarnet.dsl import (ParseError, _Cursor, _ESCAPE_SEQ, _ESCAPES,
                           _EDGE_LINE, _parse_edge, _parse_header, _parse_vertex,
                           _quote, _tokenize, _VERTEX_LINE, format_net, parse_net)
-from polarnet.io import (SchemaError, _dot_escape, _field, _located, _text,
-                         from_json, to_dot, to_json)
+from polarnet.io import (SchemaError, _dot_escape, _field, _located, from_json,
+                         to_dot, to_json)
 
 import strategies as fixtures
 from strategies import _json_slots, json_documents, mutated_pnet, nets
@@ -208,6 +208,13 @@ def _ref_json_triple(obj, key, path, values) -> ChannelTriple:
     return ChannelTriple(*triple)
 
 
+def _ref_known_keys(obj, path, known) -> None:
+    """An object's keys, checked after its fields: the first unknown one."""
+    for key in obj:
+        if key not in known:
+            raise SchemaError(path, f"unknown field {json.dumps(key)}")
+
+
 def ref_from_json(text: str) -> SemanticNet:
     try:
         doc = json.loads(text)
@@ -227,7 +234,7 @@ def ref_from_json(text: str) -> SemanticNet:
     except ValueError:
         raise SchemaError("$.mode", f"unknown mode {mode_name!r} "
                           "(expected FNSN, PNSN or PFNSN)") from None
-    name = _text(doc, "name", "$")
+    name = _field(doc, "name", "$", str)
     scale = _field(doc, "scale", "$", list)
     if len(scale) != 3:
         raise SchemaError("$.scale", f"3 components expected, got {len(scale)}")
@@ -239,6 +246,8 @@ def ref_from_json(text: str) -> SemanticNet:
         raise _located(exc, "$", "scale") from exc
     if doc.get("directed", True) is not True:
         raise SchemaError("$.directed", "only directed nets are supported")
+    _ref_known_keys(doc, "$", ("mode", "name", "scale", "vertices", "edges",
+                               "directed"))
 
     id_map: dict = {}
     values: dict = {}
@@ -252,6 +261,7 @@ def ref_from_json(text: str) -> SemanticNet:
         label = _field(obj, "label", path, str)
         indeterminate = _field(obj, "indeterminate", path, bool, False)
         membership = _ref_json_triple(obj, "membership", path, values)
+        _ref_known_keys(obj, path, ("id", "label", "indeterminate", "membership"))
         try:
             id_map[ext_id] = net.add_vertex(label, membership, indeterminate)
         except NetError as exc:
@@ -267,9 +277,10 @@ def ref_from_json(text: str) -> SemanticNet:
         dst = _field(obj, "dst", path, int)
         if dst not in id_map:
             raise SchemaError(f"{path}.dst", f"unknown vertex id {dst}")
-        label = _text(obj, "label", path, "")
+        label = _field(obj, "label", path, str, "")
         indeterminate = _field(obj, "indeterminate", path, bool, False)
         weight = _ref_json_triple(obj, "weight", path, values)
+        _ref_known_keys(obj, path, ("src", "dst", "label", "indeterminate", "weight"))
         try:
             net.add_edge(id_map[src], id_map[dst], weight, label, indeterminate)
         except NetError as exc:
@@ -476,6 +487,7 @@ def _one_then_one_point_zero(doc):
 @example(_s1_edited(lambda doc: doc["edges"][0].pop("weight")))
 @example(_s1_edited(lambda doc: doc["edges"][0]["weight"][1].update(i=1)))
 @example(_s1_edited(lambda doc: doc["vertices"][1].update(extra=[1])))
+@example(_s1_edited(lambda doc: doc.update(directd=False)))
 @example(_s1_edited(lambda doc: doc["edges"][0]["weight"].pop()))
 @example(_s1_edited(_one_then_one_point_zero, "1", "1.0"))
 @example(_s1_edited(_one_then_one_point_zero, "1.0", "1"))
