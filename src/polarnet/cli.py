@@ -72,7 +72,8 @@ class ReadError(Exception):
 def read_net(path: str | os.PathLike[str], fmt: str | None = None) -> SemanticNet:
     """Read the net in ``path`` as ``fmt`` ("pnet" or "json"), else by suffix.
 
-    A leading byte order mark is skipped.  Every failure raises ReadError.
+    A leading byte order mark is skipped; line ends reach the loader as they
+    are, so a lone CR is no line break.  Every failure raises ReadError.
     """
     path = Path(path)
     fmt = fmt or _FORMATS.get(path.suffix)
@@ -81,7 +82,8 @@ def read_net(path: str | os.PathLike[str], fmt: str | None = None) -> SemanticNe
     if not path.is_file():
         raise ReadError(f"no such file: {path}", 2)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with path.open(encoding="utf-8-sig", newline="") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ReadError(f"{path} is not valid UTF-8: {exc}", 1) from exc
     except OSError as exc:

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -45,7 +45,6 @@ __all__ = [
     "scale_problem",
     "fmt_number",
     "is_valid_label",
-    "triple_formatter",
 ]
 
 #: Channel maxima implied by "complete" memberships in the example nets:
@@ -209,7 +208,18 @@ class ChannelTriple:
         return self.c1.indeterminate or self.c2.indeterminate or self.c3.indeterminate
 
     def __str__(self) -> str:
-        return f"({self.c1}, {self.c2}, {self.c3})"
+        # A determinate entry is written inline, with no Python call: its
+        # magnitude is finite, at least 0 and never -0.0, and for every such
+        # float ``repr(m).removesuffix(".0")`` is exactly ``fmt_number(m)``.
+        # Zero, the most common entry, skips even that.
+        a, b, c = self.c1, self.c2, self.c3
+        a = (_entry_text(a.magnitude, True) if a.indeterminate
+             else repr(a.magnitude).removesuffix(".0") if a.magnitude else "0")
+        b = (_entry_text(b.magnitude, True) if b.indeterminate
+             else repr(b.magnitude).removesuffix(".0") if b.magnitude else "0")
+        c = (_entry_text(c.magnitude, True) if c.indeterminate
+             else repr(c.magnitude).removesuffix(".0") if c.magnitude else "0")
+        return f"({a}, {b}, {c})"
 
 
 _set_c1 = ChannelTriple.c1.__set__
@@ -229,40 +239,6 @@ def _coerce_triple(triple: TripleLike) -> ChannelTriple:
     if len(triple) != 3:
         raise NetError(f"channel triple needs 3 entries, got {len(triple)}")
     return ChannelTriple.of(*triple)
-
-
-class _EntryTexts(dict):
-    """Entry texts of one flag by magnitude, each made at its first lookup."""
-
-    __slots__ = ("_indeterminate",)
-
-    def __init__(self, indeterminate: bool) -> None:
-        super().__init__()
-        self._indeterminate = indeterminate
-
-    def __missing__(self, magnitude: float) -> str:
-        text = self[magnitude] = _entry_text(magnitude, self._indeterminate)
-        return text
-
-
-def triple_formatter() -> Callable[[ChannelTriple], str]:
-    """A function that gives ``str(triple)``, formatting each distinct entry
-    once however many triples share it.
-
-    A writer makes one per output.  Entries are looked up by magnitude in
-    one dict per flag, so a hit costs no Python call; keying by the value
-    would call its dataclass ``__hash__``.  Equal magnitudes print alike,
-    since a value never holds -0.0 or NaN.
-    """
-    det, ind = _EntryTexts(False), _EntryTexts(True)
-
-    def text(triple: ChannelTriple) -> str:
-        a, b, c = triple.c1, triple.c2, triple.c3
-        return (f"({(ind if a.indeterminate else det)[a.magnitude]}, "
-                f"{(ind if b.indeterminate else det)[b.magnitude]}, "
-                f"{(ind if c.indeterminate else det)[c.magnitude]})")
-
-    return text
 
 
 @dataclass(frozen=True, slots=True, init=False)

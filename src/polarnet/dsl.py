@@ -14,7 +14,8 @@ IDENT is an identifier (letters, digits, underscore; not starting with a
 digit).  NUM is a nonnegative decimal written with ASCII digits; "0.5I"
 denotes the indeterminacy 0.5*I and a bare "I" has coefficient 1.  Quoted
 strings support the escapes \\" \\\\ \\n \\r \\t.  Files are UTF-8 with LF or
-CRLF line endings; the suggested extension is ``.pnet``.
+CRLF line endings; a lone CR is no line break but a character, which only
+a quoted string or a comment may hold.  The suggested extension is ``.pnet``.
 
 Every input either parses to a net or raises :class:`ParseError` with a
 1-based line and column.  The parser resolves vertex names (an unknown edge
@@ -32,9 +33,9 @@ are located and worded the same whichever way a line was first tried.  It
 reads each token with one pattern, made of the same number and identifier
 pieces as the line patterns, and both ways decode escapes with one helper.
 
-``format_net`` writes each line from one f-string, and formats each
-distinct channel entry once per call.  It joins ``_pnet_lines``, which
-yields the lines in order, and which the CLI writes as they come.
+``format_net`` writes each line from one f-string, a triple as
+``str(triple)``, and keeps no text between lines.  It joins ``_pnet_lines``,
+which yields the lines in order, and which the CLI writes as they come.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import re
 from typing import Iterator, NamedTuple
 
 from .core import (DEFAULT_SCALE, ChannelTriple, NetError, NetMode, NeutroValue,
-                   SemanticNet, fmt_number, triple_formatter)
+                   SemanticNet, fmt_number)
 
 __all__ = ["ParseError", "parse_net", "format_net"]
 
@@ -383,7 +384,7 @@ def format_net(net: SemanticNet) -> str:
 
 def _pnet_lines(net: SemanticNet) -> Iterator[str]:
     """``format_net``'s text in order, one line at a time."""
-    text = triple_formatter()
+    text = ChannelTriple.__str__
     vertices = net._vertices
     yield (f"net {net.mode.value.lower()} {_quote(net.name)} scale "
            f"{' '.join(fmt_number(s) for s in net.scale)}\n")

@@ -34,9 +34,8 @@ An object the loader reads may not repeat a key, ``$: duplicate key "mode"``,
 nor hold one it does not read, ``$.vertices[0]: unknown field "x"``, which is
 checked after its fields: last in the header, before core's checks elsewhere.
 
-``to_dot`` writes each line from one f-string, formats each distinct
-channel entry once per call and normalizes a membership inline, so it
-imports no ``analysis``.
+``to_dot`` writes each line from one f-string, a weight as ``str(triple)``,
+and normalizes a membership inline, so it imports no ``analysis``.
 
 ``_json_pieces`` and ``_dot_lines`` yield each document in pieces, in order;
 ``to_json`` and ``to_dot`` join them, and the CLI writes them as they come.
@@ -45,8 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .core import (ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet,
-                   triple_formatter)
+from .core import ChannelTriple, NetError, NetMode, NeutroValue, SemanticNet
 
 __all__ = ["SchemaError", "to_json", "from_json", "to_dot"]
 
@@ -369,7 +367,7 @@ def to_dot(net: SemanticNet) -> str:
 
 def _dot_lines(net: SemanticNet) -> Iterator[str]:
     """``to_dot``'s document in order, one line at a time."""
-    weight_text = triple_formatter()
+    weight_text = ChannelTriple.__str__
     s1, s2, s3 = net.scale
     yield f'digraph "{_dot_escape(net.name)}" {{\n' if net.name else "digraph {\n"
     indeterminate_count = 0

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from polarnet.cli import main
 from polarnet.core import NetMode, SemanticNet
-from polarnet.dsl import format_net
-from polarnet.io import to_dot, to_json
+from polarnet.dsl import ParseError, format_net, parse_net
+from polarnet.io import SchemaError, from_json, to_dot, to_json
 
 from strategies import json_documents, mutated_pnet
 from test_scale import large_net
@@ -248,7 +248,7 @@ def test_unreadable_file_message_and_code(capsys, tmp_path, monkeypatch,
     def refuse(self, *args, **kwargs):  # file modes do not stop root
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(Path, "open", refuse)
     assert run(capsys, "classify", str(path)) == (
         2, "", f"cannot read {path}: [Errno 13] Permission denied\n")
 
@@ -263,6 +263,31 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, s3_net, suffix):
         expected = run(capsys, command[0], str(plain), *command[1:])
         assert expected[0] == 0 and expected[1]
         assert run(capsys, command[0], str(marked), *command[1:]) == expected
+
+
+_NET = ('net fnsn "x"\nvertex a (1, 0, 0)\nvertex b (0, 1, 0)\n'
+        'edge a -> b (1, 0, 0)\n')
+_FILES_BY_LINE_END = {
+    "lf.pnet": _NET.encode(),
+    "crlf.pnet": _NET.replace("\n", "\r\n").encode(),
+    "bom-crlf.pnet": b"\xef\xbb\xbf" + _NET.replace("\n", "\r\n").encode(),
+    "cr-in-line.pnet": b'net fnsn "x"\nvertex a (0,\r0, 0)\n',
+    "cr-in-name.pnet": b'net fnsn "a\rb"\nvertex a (1, 0, 0)\n',
+    "cr-in-json.json": b'{\r"mode": "FNSN",\r"name": "x",\r ]\n',
+}
+
+
+@pytest.mark.parametrize("name", _FILES_BY_LINE_END)
+def test_a_file_reads_as_the_library_reads_its_text(capsys, tmp_path, name):
+    data = _FILES_BY_LINE_END[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    load = from_json if name.endswith(".json") else parse_net
+    try:
+        expected = (0, to_json(load(data.decode("utf-8-sig"))), "")
+    except (ParseError, SchemaError) as exc:
+        expected = (1, "", f"{exc}\n")
+    assert run(capsys, "convert", str(path), "--to", "json") == expected
 
 
 def test_output_is_deterministic(capsys, fixtures_dir):

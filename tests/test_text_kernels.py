@@ -1,12 +1,12 @@
 """The text layer against frozen copies of its former implementations.
 
 ``format_net``, ``to_dot``, ``parse_net`` and ``from_json`` share values,
-memoise entry texts and check well-formed elements inline.  The reference
-copies below build and check each entry on its own, as the library once
-did, and must give byte-identical text, an equal net, or an error of the
-same type with the same location and message.  The token parser and the
-small helpers the copies call (``_tokenize``, ``_field``, ``_located``, …)
-are shared, not copied.
+write determinate entries inline and check well-formed elements inline.
+The reference copies below build and check each entry on its own, as the
+library once did, and must give byte-identical text, an equal net, or an
+error of the same type with the same location and message.  The token
+parser and the small helpers the copies call (``_tokenize``, ``_field``,
+``_located``, …) are shared, not copied.
 """
 from __future__ import annotations
 
@@ -340,6 +340,23 @@ def test_a_shared_value_prints_alike_in_every_entry():
     assert format_net(net).splitlines()[1:] == [
         "vertex a (0.5I, 0.5, I)", "vertex b (1e-07, I, 0.5I) indeterminate",
         'edge a -> b label "w\\\\\\"x\\n" (0.5, 0.5I, I)']
+
+
+_entries = st.one_of(
+    st.builds(NeutroValue, st.floats(min_value=0.0, allow_nan=False,
+                                     allow_infinity=False)),
+    st.builds(NeutroValue.indeterminacy,
+              st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+
+
+@given(_entries, _entries, _entries)
+@example(NeutroValue(1e15), NeutroValue(1e16 - 2), NeutroValue(1e16))
+@example(NeutroValue(2.0 ** 53 + 2), NeutroValue(5e-324), NeutroValue(1e308))
+@example(NeutroValue.indeterminacy(), NeutroValue.indeterminacy(0.5),
+         NeutroValue(0.0))
+def test_a_triple_prints_as_the_reference_over_the_whole_float_range(a, b, c):
+    triple = ChannelTriple(a, b, c)
+    assert str(triple) == ref_triple_text(triple)
 
 
 # -- the .pnet loader ------------------------------------------------------------
