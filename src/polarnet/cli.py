@@ -10,8 +10,8 @@ command's own exit code.
 
 ``read_net`` is the one way a net file is read, and ``write_output`` the one
 way output is written, here and in ``scripts/``.  The latter takes a
-document in pieces and writes them as they are made, so a command's peak
-memory does not grow with its output beyond the net.
+document in pieces and writes them as they are made, so no command's peak
+memory grows with its output beyond the net, ``matrices`` included.
 Beyond ``core``, it and each command import what they use when they run,
 so one ``python -m polarnet`` process loads only the modules its command and
 input format need.
@@ -154,16 +154,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(widths[c]) for c, cell in enumerate(row[1:], start=1)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
-
-
 # Each command returns its exit code and its stdout text: a str, or pieces.
 _Output = tuple[int, Iterable[str]]
 
@@ -181,22 +171,43 @@ def _cmd_classify(net: SemanticNet, args: argparse.Namespace) -> _Output:
                for flag, value in net.classify().flags().items()]
 
 
-def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> _Output:
-    from .matrix import adjacency_tensor, membership_matrix
+def _matrix_lines(net: SemanticNet) -> Iterator[str]:
+    """The membership matrix, then the tensor's three slices, as four tables.
+
+    A table is written from its stored cells alone, a line at a time: each
+    line is a copy of one padded row of zeros with the row's stored cells put
+    in.  A column is as wide as the longest of its heading and its stored
+    texts; headings are non-empty, so a "0" never widens one.
+    """
+    from .matrix import _CHANNELS, adjacency_tensor, membership_matrix
     mm = membership_matrix(net)
     tensor = adjacency_tensor(net)
-    channels = net.mode.channel_names
-    blocks = []
-    rows = [["membership", *channels]]
-    rows += [[label, *(str(v) for v in row)]
-             for label, row in zip(mm.labels, mm.rows)]
-    blocks.append(_table(rows))
-    for k in range(3):
-        rows = [[f"A_ij{k + 1}", *tensor.labels]]
-        rows += [[label, *(str(v) for v in tensor.slices[k][i])]
-                 for i, label in enumerate(tensor.labels)]
-        blocks.append(_table(rows))
-    return 0, "\n\n".join(blocks) + "\n"
+    for k in range(4):
+        if k == 0:
+            corner, headings = "membership", net.mode.channel_names
+            rows = [list(enumerate(map(str, row))) for row in mm.rows]
+        else:
+            corner, headings, channel = f"A_ij{k}", tensor.labels, _CHANNELS[k - 1]
+            rows = [[(j, text) for j, triple in row
+                     if (text := str(channel(triple))) != "0"]
+                    for row in tensor.entries]
+            yield "\n"
+        widths = [len(heading) for heading in headings]
+        for row in rows:
+            for j, text in row:
+                widths[j] = max(widths[j], len(text))
+        labels = (corner, *tensor.labels)
+        label_width = max(map(len, labels))
+        zeros = ["0".rjust(width) for width in widths]
+        for label, row in zip(labels, (enumerate(headings), *rows)):
+            line = [label.ljust(label_width), *zeros]
+            for j, text in row:
+                line[j + 1] = text.rjust(widths[j])
+            yield "  ".join(line).rstrip() + "\n"
+
+
+def _cmd_matrices(net: SemanticNet, args: argparse.Namespace) -> _Output:
+    return 0, _matrix_lines(net)
 
 
 def _cmd_render(net: SemanticNet, args: argparse.Namespace) -> _Output:

@@ -3,17 +3,17 @@
 The membership matrix mirrors vertex memberships row by row in insertion
 order.  The adjacency tensor stacks three |V| x |V| slices, one per channel;
 rows index edge sources, columns destinations.  It stores only its nonzero
-entries, so extraction and reconstruction take O(V + E) time and memory;
+entries, by row in increasing column order, and rejects any other entry;
+extraction and reconstruction take O(V + E) time and memory.
 ``AdjacencyTensor.slices`` reads it densely, building a row of ``NeutroValue``
 only when that row is indexed.  Both results are immutable and comparable,
 so extraction is non-mutating.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .core import ChannelTriple, Edge, NetMode, NetError, NeutroValue, SemanticNet
 
@@ -26,9 +26,7 @@ __all__ = [
 ]
 
 _ZERO = NeutroValue.determinate(0.0)
-_ZERO_TRIPLE = ChannelTriple(_ZERO, _ZERO, _ZERO)
 _CHANNELS = (attrgetter("c1"), attrgetter("c2"), attrgetter("c3"))
-_column = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -50,45 +48,30 @@ class AdjacencyTensor:
     """Three |V| x |V| slices of edge weights, stored by nonzero entries.
 
     ``entries[i]`` holds the ``(j, triple)`` pairs of source row ``i`` whose
-    triple is not all-zero, in increasing column ``j``.  ``slices[k][i][j]``
-    and ``triple(i, j)`` read the same tensor cell by cell.
+    triple is not all-zero, in increasing column ``j``; any other entry
+    raises ``NetError``, as the dense view would misread it.  Every cell not
+    stored is zero.
     """
 
     labels: tuple[str, ...]
     entries: tuple[tuple[tuple[int, ChannelTriple], ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.entries):
-            raise NetError(
-                f"adjacency tensor has {len(self.labels)} labels "
-                f"but {len(self.entries)} rows")
-
-    @classmethod
-    def from_slices(cls, labels: Sequence[str],
-                    slices: Sequence[Sequence[Sequence[NeutroValue]]]
-                    ) -> AdjacencyTensor:
-        """The tensor whose dense slices are ``slices[k][src][dst]``."""
-        n = len(labels)
-        if len(slices) != 3:
-            raise NetError(f"adjacency tensor needs 3 slices, got {len(slices)}")
-        for k, sl in enumerate(slices, start=1):
-            if len(sl) != n or any(len(row) != n for row in sl):
-                raise NetError(f"slice {k} is not {n} x {n}")
-        cells = (enumerate(map(ChannelTriple, *rows)) for rows in zip(*slices))
-        entries = tuple(tuple((j, triple) for j, triple in row if not triple.is_zero)
-                        for row in cells)
-        return cls(tuple(labels), entries)
-
-    def triple(self, i: int, j: int) -> ChannelTriple:
-        """The (i, j) entry: the stored triple, or the shared zero triple."""
         n = len(self.labels)
-        if not (0 <= i < n and 0 <= j < n):
-            raise NetError(f"tensor position ({i}, {j}) outside [0, {n})")
-        row = self.entries[i]
-        at = bisect_left(row, j, key=_column)
-        if at < len(row) and row[at][0] == j:
-            return row[at][1]
-        return _ZERO_TRIPLE
+        if n != len(self.entries):
+            raise NetError(
+                f"adjacency tensor has {n} labels but {len(self.entries)} rows")
+        for i, row in enumerate(self.entries):
+            last = -1
+            for j, triple in row:
+                if not (type(j) is int and last < j < n):
+                    raise NetError(f"adjacency tensor row {i}: column {j!r} "
+                                   f"is not an int in [{last + 1}, {n})")
+                if type(triple) is not ChannelTriple or triple.is_zero:
+                    raise NetError(
+                        f"adjacency tensor row {i}, column {j}: {triple!r} "
+                        f"is not a nonzero ChannelTriple")
+                last = j
 
     @property
     def slices(self) -> tuple[_DenseSlice, _DenseSlice, _DenseSlice]:

@@ -61,9 +61,9 @@ class TestAdjacencyTensor:
 
     def test_s3_nonzeros(self, s3_net):
         tensor = adjacency_tensor(s3_net)
-        assert tensor.triple(0, 1) == t(2.7, 0, 0)
-        assert tensor.triple(0, 2) == t(0, 1.4, 0)
-        assert tensor.triple(0, 3) == t(0, 0, 0.3)
+        assert tensor.entries == (
+            ((1, t(2.7, 0, 0)), (2, t(0, 1.4, 0)), (3, t(0, 0, 0.3))),
+            (), (), ())
 
     def test_no_edges_gives_zero_slices(self):
         net = SemanticNet(NetMode.FNSN, "x")
@@ -82,9 +82,26 @@ class TestAdjacencyTensor:
             net.add_edge(src, dst, t(1, 0, 0))
         assert adjacency_tensor(net).entries == ((), ())
 
-    def test_slices_must_be_square(self):
-        with pytest.raises(NetError, match="slice"):
-            AdjacencyTensor.from_slices(("a", "b"), (((Z,),), ((Z,),), ((Z,),)))
+    @pytest.mark.parametrize("row,message", [
+        (((-1, t(1, 0, 0)),), r"row 0: column -1 is not an int in \[0, 3\)"),
+        (((3, t(1, 0, 0)),), r"row 0: column 3 is not an int in \[0, 3\)"),
+        (((2, t(1, 0, 0)), (1, t(1, 0, 0))),
+         r"row 0: column 1 is not an int in \[3, 3\)"),
+        (((1, t(1, 0, 0)), (1, t(0, 1, 0))),
+         r"row 0: column 1 is not an int in \[2, 3\)"),
+        (((1.0, t(1, 0, 0)),), r"row 0: column 1\.0 is not an int"),
+        (((True, t(1, 0, 0)),), r"row 0: column True is not an int"),
+        (((1, t(0, 0, 0)),), r"row 0, column 1: .* is not a nonzero ChannelTriple"),
+        (((1, (1, 0, 0)),), r"row 0, column 1: .* is not a nonzero ChannelTriple"),
+    ], ids=["negative", "past-the-end", "decreasing", "repeated", "float",
+            "bool", "zero-triple", "plain-tuple"])
+    def test_entries_the_dense_view_would_misread_are_rejected(self, row, message):
+        with pytest.raises(NetError, match=message):
+            AdjacencyTensor(("a", "b", "c"), (row, (), ()))
+
+    def test_row_count_must_match_labels(self):
+        with pytest.raises(NetError, match="2 labels but 1 rows"):
+            AdjacencyTensor(("a", "b"), ((),))
 
 
 class TestFromMatrices:
@@ -104,16 +121,14 @@ class TestFromMatrices:
     def test_empty_matrices_give_empty_net(self):
         net = from_matrices(NetMode.FNSN, "x", (3, 2, 1),
                             MembershipMatrix((), ()),
-                            AdjacencyTensor.from_slices((), ((), (), ())))
+                            AdjacencyTensor((), ()))
         assert net.vertices == () and net.edges == ()
 
     def test_dimension_mismatch_rejected(self):
         membership = MembershipMatrix(
             ("a", "b", "c", "d"),
             (t(0, 0, 0), t(0, 0, 0), t(0, 0, 0), t(0, 0, 0)))
-        row3 = (Z, Z, Z)
-        tensor3 = AdjacencyTensor.from_slices(
-            ("a", "b", "c"), tuple((row3, row3, row3) for _ in range(3)))
+        tensor3 = AdjacencyTensor(("a", "b", "c"), ((), (), ()))
         with pytest.raises(NetError, match="mismatch"):
             from_matrices(NetMode.FNSN, "x", (3, 2, 1), membership, tensor3)
 
@@ -121,9 +136,8 @@ class TestFromMatrices:
         half_i = NeutroValue.indeterminacy(0.5)
         membership = MembershipMatrix(
             ("a", "b"), (ChannelTriple(half_i, Z, Z), t(1, 0, 0)))
-        slice1 = ((Z, half_i), (Z, Z))
-        zero = ((Z, Z), (Z, Z))
-        tensor = AdjacencyTensor.from_slices(("a", "b"), (slice1, zero, zero))
+        tensor = AdjacencyTensor(("a", "b"),
+                                 (((1, ChannelTriple(half_i, Z, Z)),), ()))
         net = from_matrices(NetMode.FNSN, "x", (3, 2, 1), membership, tensor)
         assert net.vertices[0].indeterminate and not net.vertices[1].indeterminate
         assert net.edges[0].indeterminate
@@ -149,8 +163,9 @@ def test_membership_rows_follow_insertion_order(net):
 def test_tensor_sparsity_matches_edge_count(net):
     tensor = adjacency_tensor(net)
     n = len(tensor.labels)
+    slices = tensor.slices
     nonzero_positions = {(i, j) for i in range(n) for j in range(n)
-                         if not tensor.triple(i, j).is_zero}
+                         if any(not sl[i][j].is_zero for sl in slices)}
     assert len(nonzero_positions) == len(net.edges)
 
 
@@ -181,15 +196,15 @@ def test_matrices_roundtrip_preserves_structure_and_weights(net):
 def test_dense_view_agrees_with_sparse_store(net):
     tensor = adjacency_tensor(net)
     n = len(tensor.labels)
-    assert AdjacencyTensor.from_slices(tensor.labels, tensor.slices) == tensor
+    stored = {(i, j): triple for i, row in enumerate(tensor.entries)
+              for j, triple in row}
+    assert stored == {(e.src, e.dst): e.weight for e in net.edges
+                      if not e.weight.is_zero}
     slices = tensor.slices
     assert len(slices) == 3
     assert all(len(sl) == n and all(len(row) == n for row in sl)
                for sl in slices)
     for i in range(n):
         for j in range(n):
-            assert tensor.triple(i, j) == ChannelTriple(
+            assert stored.get((i, j), ChannelTriple.zero()) == ChannelTriple(
                 slices[0][i][j], slices[1][i][j], slices[2][i][j])
-    for i in (-1, n):
-        with pytest.raises(NetError, match="outside"):
-            tensor.triple(i, 0)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from polarnet.cli import write_output
+from polarnet.cli import _matrix_lines, write_output
 from polarnet.dsl import _pnet_lines, format_net
 from polarnet.io import _dot_lines, _json_pieces, to_dot, to_json
 
@@ -65,6 +65,14 @@ def test_writing_dot_and_pnet_peaks_at_half_their_length(tmp_path, net_800,
     peak = _write_peak(lambda: pieces(net_800), tmp_path, target)
     # A cache of the text of every distinct entry held about 2.7 times it.
     assert peak <= len(write(net_800)) / 2
+
+
+@pytest.mark.parametrize("target", ["stdout", "file"])
+def test_writing_matrices_peaks_at_an_eighth_of_its_length(tmp_path, net_800,
+                                                           target):
+    peak = _write_peak(lambda: _matrix_lines(net_800), tmp_path, target)
+    # A text for every cell of the dense tables, held whole, took four times it.
+    assert peak <= sum(map(len, _matrix_lines(net_800))) / 8
 
 
 def test_a_str_is_written_as_one_piece(tmp_path):

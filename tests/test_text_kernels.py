@@ -2,11 +2,13 @@
 
 ``format_net``, ``to_dot``, ``parse_net`` and ``from_json`` share values,
 write determinate entries inline and check well-formed elements inline.
-The reference copies below build and check each entry on its own, as the
-library once did, and must give byte-identical text, an equal net, or an
-error of the same type with the same location and message.  The token
-parser and the small helpers the copies call (``_tokenize``, ``_field``,
-``_located``, …) are shared, not copied.
+The ``matrices`` command writes its tables from the tensor's stored entries.
+The reference copies below build and check each entry on its own, and write
+every cell of the dense tables, as the library once did, and must give
+byte-identical text, an equal net, or an error of the same type with the
+same location and message.  The token parser and the small helpers the
+copies call (``_tokenize``, ``_field``, ``_located``, …) are shared, not
+copied.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarnet.analysis import normalize
+from polarnet.cli import _cmd_matrices
 from polarnet.core import (ChannelTriple, NetError, NetMode, NeutroValue,
                            SemanticNet, entry_problem, fmt_number)
 from polarnet.dsl import (ParseError, _Cursor, _ESCAPE_SEQ, _ESCAPES,
@@ -25,6 +28,7 @@ from polarnet.dsl import (ParseError, _Cursor, _ESCAPE_SEQ, _ESCAPES,
                           _quote, _tokenize, _VERTEX_LINE, format_net, parse_net)
 from polarnet.io import (SchemaError, _dot_escape, _field, _located, from_json,
                          to_dot, to_json)
+from polarnet.matrix import adjacency_tensor, membership_matrix
 
 import strategies as fixtures
 from strategies import _json_slots, json_documents, mutated_pnet, nets
@@ -110,6 +114,35 @@ def ref_to_dot(net: SemanticNet) -> str:
                    f'[label="{text}"{style}];')
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _ref_table(rows: list[list[str]]) -> str:
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    lines = []
+    for row in rows:
+        cells = [row[0].ljust(widths[0])]
+        cells += [cell.rjust(widths[c]) for c, cell in enumerate(row[1:], start=1)]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
+
+
+def ref_cmd_matrices(net: SemanticNet) -> tuple[int, str]:
+    """``cli._cmd_matrices`` as it once was: every cell of the dense tables,
+    each table held whole to size its columns, and the document joined."""
+    mm = membership_matrix(net)
+    tensor = adjacency_tensor(net)
+    channels = net.mode.channel_names
+    blocks = []
+    rows = [["membership", *channels]]
+    rows += [[label, *(str(v) for v in row)]
+             for label, row in zip(mm.labels, mm.rows)]
+    blocks.append(_ref_table(rows))
+    for k in range(3):
+        rows = [[f"A_ij{k + 1}", *tensor.labels]]
+        rows += [[label, *(str(v) for v in tensor.slices[k][i])]
+                 for i, label in enumerate(tensor.labels)]
+        blocks.append(_ref_table(rows))
+    return 0, "\n\n".join(blocks) + "\n"
 
 
 def _ref_pnet_value(text: str) -> NeutroValue:
@@ -340,6 +373,53 @@ def test_a_shared_value_prints_alike_in_every_entry():
     assert format_net(net).splitlines()[1:] == [
         "vertex a (0.5I, 0.5, I)", "vertex b (1e-07, I, 0.5I) indeterminate",
         'edge a -> b label "w\\\\\\"x\\n" (0.5, 0.5I, I)']
+
+
+def assert_matrices_alike(net):
+    code, pieces = _cmd_matrices(net, None)
+    assert (code, "".join(pieces)) == ref_cmd_matrices(net)
+
+
+@st.composite
+def _nets_with_long_labels(draw):
+    """A net whose vertex labels are lengthened, some past their cells."""
+    net = draw(nets(allow_zero_weight_edges=True))
+    out = SemanticNet(net.mode, net.name, net.scale)
+    for i, v in enumerate(net.vertices):  # the index keeps labels unique
+        label = f"{v.label}_{'x' * draw(st.integers(0, 40))}{i}"
+        out.add_vertex(label, v.membership, v.indeterminate)
+    for e in net.edges:
+        out.add_edge(e.src, e.dst, e.weight, e.label, e.indeterminate)
+    return out
+
+
+def _vertices_only(*labels):
+    net = SemanticNet(NetMode.PNSN, "v")
+    for label in labels:
+        net.add_vertex(label, (3, 0, 0), True)
+    return net
+
+
+def _one_zero_edge():
+    net = _vertices_only("a", "b")
+    net.add_edge(0, 1, (0, 0, 0))
+    return net
+
+
+@given(st.one_of(nets(allow_zero_weight_edges=True), _nets_with_long_labels()))
+@example(SemanticNet(NetMode.FNSN, ""))
+@example(_vertices_only("a", "b"))
+@example(_vertices_only("a" * 60))
+@example(_one_zero_edge())
+@example(fixtures.s1())
+@example(fixtures.s2())
+@example(fixtures.s3())
+def test_matrices_match_the_reference(net):
+    assert_matrices_alike(net)
+
+
+def test_matrices_match_the_reference_on_the_800_vertex_net():
+    assert_matrices_alike(large_net(seed=800, vertices=800, edges=3200))
 
 
 _entries = st.one_of(
